@@ -32,6 +32,7 @@ from .query import eval_query
 from .transform import (
     Cluster,
     TransformResult,
+    _check_valid,
     apply_remove,
     apply_replace,
     cluster_category,
@@ -187,6 +188,8 @@ def evaluate(
         applied.append(PlanStep(s.policy_id, s.tindex, s.transformation, c))
         records.extend({**context, **r} for r in step.log)
 
+    if applied:
+        _check_valid(working, "transformation plan")
     outcome = Outcome.PERMIT_FULL if not applied else Outcome.PERMIT_TRANSFORMED
     view = working
     if req.query is not None:

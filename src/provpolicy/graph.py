@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, KeysView
 
 from .errors import GraphFormatError, UnknownVertexError
 
@@ -143,7 +143,7 @@ class Violation:
 class ProvenanceGraph:
     """An immutable provenance graph with prebuilt adjacency indexes."""
 
-    __slots__ = ("id", "vertices", "edges", "_out", "_in", "_ha_out", "_ha_in")
+    __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names")
 
     def __init__(self, graph_id: str, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         self.id = graph_id
@@ -153,13 +153,14 @@ class ProvenanceGraph:
                 raise GraphFormatError(f"duplicate vertex id {v.id!r}")
             vs[v.id] = v
         self.vertices: dict[str, Vertex] = vs
-        self.edges: tuple[Edge, ...] = tuple(dict.fromkeys(edges))
+        self._edges: dict[Edge, None] = dict.fromkeys(edges)
+        self._names: dict[str, frozenset[str]] | None = None
 
         out: dict[str, list[Edge]] = {}
         inc: dict[str, list[Edge]] = {}
         ha_out: dict[str, list[Edge]] = {}
         ha_in: dict[str, list[Edge]] = {}
-        for e in self.edges:
+        for e in self._edges:
             if e.src not in vs or e.dst not in vs:
                 continue  # dangling edges are reported by validate_graph
             if e.label is EdgeLabel.HAS_ATTRIBUTES:
@@ -172,6 +173,84 @@ class ProvenanceGraph:
         self._in = {k: tuple(sorted(v, key=edge_sort_key)) for k, v in inc.items()}
         self._ha_out = {k: tuple(sorted(v, key=edge_sort_key)) for k, v in ha_out.items()}
         self._ha_in = {k: tuple(sorted(v, key=edge_sort_key)) for k, v in ha_in.items()}
+
+    def _successor(
+        self,
+        drop: Iterable[str],
+        add_vertices: Iterable[Vertex] = (),
+        add_edges: Iterable[Edge] = (),
+    ) -> ProvenanceGraph:
+        """This graph without the vertices ``drop`` and every edge touching
+        them, plus ``add_vertices`` and ``add_edges``. For a parent without
+        dangling edges it equals the graph built afresh from the result.
+
+        The parent's dicts are copied whole, which hashes no vertex or
+        edge again; only the adjacency entries of vertices that lose or
+        gain an edge are re-sorted.
+        """
+        g = object.__new__(ProvenanceGraph)
+        g.id = self.id
+        g.vertices = vs = self.vertices.copy()
+        g._edges = es = self._edges.copy()
+        g._names = None
+        g._out, g._in = self._out.copy(), self._in.copy()
+        g._ha_out, g._ha_in = self._ha_out.copy(), self._ha_in.copy()
+        # indexes by position: 0/1 keyed by src/dst, 2/3 the same for
+        # hasAttributes edges
+        tables = (g._out, g._in, g._ha_out, g._ha_in)
+        touched: dict[tuple[int, str], list[Edge]] = {}
+
+        def entries(e: Edge) -> tuple[tuple[int, str], tuple[int, str]]:
+            t = 2 if e.label is EdgeLabel.HAS_ATTRIBUTES else 0
+            return (t, e.src), (t + 1, e.dst)
+
+        dropped = set(drop)
+        for vid in dropped:
+            del vs[vid]
+            for table in tables:
+                for e in table.pop(vid, ()):
+                    es.pop(e, None)
+                    for key in entries(e):
+                        if key[1] not in dropped:
+                            touched.setdefault(key, [])
+        for v in add_vertices:
+            if v.id in vs:
+                raise GraphFormatError(f"duplicate vertex id {v.id!r}")
+            vs[v.id] = v
+        for e in add_edges:
+            if e in es:
+                continue
+            es[e] = None
+            if e.src in vs and e.dst in vs:
+                for key in entries(e):
+                    touched.setdefault(key, []).append(e)
+
+        for (t, vid), added in touched.items():
+            kept = [
+                e for e in tables[t].get(vid, ())
+                if e.src not in dropped and e.dst not in dropped
+            ]
+            if kept or added:
+                tables[t][vid] = tuple(sorted(kept + added, key=edge_sort_key))
+            else:
+                tables[t].pop(vid, None)
+        return g
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        """Every stored edge, each once, attribute attachments included."""
+        return self._edges.keys()
+
+    def ids_named(self, name: str) -> frozenset[str]:
+        """Ids of the vertices whose name or id is ``name``. The lookup map
+        is built on the first call."""
+        if self._names is None:
+            names: dict[str, set[str]] = {}
+            for vid, v in self.vertices.items():
+                names.setdefault(v.name, set()).add(vid)
+                names.setdefault(vid, set()).add(vid)
+            self._names = {k: frozenset(ids) for k, ids in names.items()}
+        return self._names.get(name, frozenset())
 
     # ==== basic access ====
 
@@ -254,6 +333,11 @@ class ProvenanceGraph:
         ids.update(e.dst for e in self._ha_out.get(vid, ()))
         ids.update(e.src for e in self._ha_in.get(vid, ()))
         return ids
+
+    def attribute_edges(self, vid: str) -> tuple[Edge, ...]:
+        """hasAttributes edges leaving ``vid`` for its attribute vertices."""
+        self._require(vid)
+        return self._ha_out.get(vid, ())
 
     def attribute_host_edges(self, vid: str) -> tuple[Edge, ...]:
         """hasAttributes edges pointing at the attribute vertex ``vid``."""

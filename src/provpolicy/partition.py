@@ -28,8 +28,8 @@ from .pathexpr import (
     IdSetTest,
     NodeTest,
     Terminal,
+    matching_ids,
     node_test_to_text,
-    test_matches,
 )
 from .query import (
     DEFAULT_MAX_PATHS,
@@ -84,7 +84,7 @@ class Partition:
 
 
 def resolve_vertices(g: ProvenanceGraph, spec: VerticesSpec) -> Partition:
-    ids = frozenset(vid for vid in g.vertices if test_matches(spec.selector, g, vid))
+    ids = matching_ids(spec.selector, g)
     return Partition(ids, induced_edges(g, ids))
 
 
@@ -129,9 +129,7 @@ def resolve_subgraph(
     end_test = _anchor_test(g, spec.end)
     paths = eval_general_path(g, start_test, end_test, max_paths=max_paths)
     core = {vid for p in paths for vid in p.vertices}
-    for vid in g.vertices:
-        if test_matches(start_test, g, vid) and test_matches(end_test, g, vid):
-            core.add(vid)
+    core |= matching_ids(start_test, g) & matching_ids(end_test, g)
 
     hull = set(core)
     for vid in sorted(core):

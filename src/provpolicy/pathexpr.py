@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import ExprSyntaxError
 from .graph import ProvenanceGraph, TYPE_BY_CODE, VertexType
@@ -158,6 +159,16 @@ def test_matches(test: NodeTest, g: ProvenanceGraph, vid: str) -> bool:
             return v.value == test.value
         return any(val == test.value for _, val in g.attribute_pairs(vid))
     raise TypeError(f"not a node test: {test!r}")
+
+
+def matching_ids(test: NodeTest, g: ProvenanceGraph) -> frozenset[str]:
+    """Ids of every vertex ``test`` matches. Name literals are looked up
+    in the graph's name map rather than tested against every vertex."""
+    if isinstance(test, (NameTest, TypedNameTest)):
+        candidates: Iterable[str] = frozenset().union(*map(g.ids_named, test.names))
+    else:
+        candidates = g.vertices
+    return frozenset(vid for vid in candidates if test_matches(test, g, vid))
 
 
 def pred_matches(pred: AttrPred | None, g: ProvenanceGraph, vid: str) -> bool:

@@ -7,6 +7,11 @@ pairwise through the edge-merge table, and any ambiguity or schema
 violation falls back to wasCausedBy. Replacement collapses a cluster into
 a single vertex named by its category. Both return a fresh graph plus a
 JSON-serializable audit log; inputs are never mutated.
+
+Both steps take a graph that passes ``validate_graph(g,
+allow_was_caused_by=True)`` and return one, without checking the whole
+result: a pipeline validates the view it produces once, after its last
+step.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .graph import (
     Vertex,
     VertexType,
     edge_is_legal,
-    edge_sort_key,
     validate_graph,
 )
 from .partition import Partition, partition_to_text, resolve
@@ -181,53 +185,40 @@ def apply_remove(
         )
     internal = present
 
-    in_edges = [
-        e
-        for e in g.edges
-        if e.dst in internal and e.src not in internal
-        and e.label is not EdgeLabel.HAS_ATTRIBUTES
-    ]
-    out_edges = [
-        e
-        for e in g.edges
-        if e.src in internal and e.dst not in internal
-        and e.label is not EdgeLabel.HAS_ATTRIBUTES
-    ]
-    internal_edges = [
-        e
-        for e in g.edges
-        if e.src in internal and e.dst in internal
-        and e.label is not EdgeLabel.HAS_ATTRIBUTES
-    ]
-    topo = _topo_order(internal, internal_edges)
+    # The cluster's own adjacency: edges crossing into it, out of it, and
+    # between its members, keyed by source.
+    in_edges: list[Edge] = []
+    out_edges: list[Edge] = []
+    succ: dict[str, list[Edge]] = {vid: [] for vid in internal}
+    for vid in internal:
+        in_edges.extend(e for e in g.cause_edges(vid) if e.src not in internal)
+        for e in g.effect_edges(vid):
+            (succ[vid] if e.dst in internal else out_edges).append(e)
+    topo = _topo_order(succ)
 
     # Per external pair, every bridge label obtainable by folding the
-    # merge table left to right along some internal route.
-    folds: dict[tuple[str, str], set[EdgeLabel]] = {}
+    # merge table left to right along some internal route; under the
+    # false-dependency label every fold gives wasCausedBy.
     if label is DependencyLabel.ORIGINAL:
-        for e_in in sorted(in_edges, key=edge_sort_key):
-            labels_at: dict[str, set[EdgeLabel]] = {e_in.dst: {e_in.label}}
-            for vid in topo:
-                if vid not in labels_at:
-                    continue
-                for e in g.effect_edges(vid):
-                    if e.dst in internal:
-                        merged = {emt.merged(l, e.label) for l in labels_at[vid]}
-                        labels_at.setdefault(e.dst, set()).update(merged)
-            for e_out in out_edges:
-                if e_out.src in labels_at:
-                    pair = (e_in.src, e_out.dst)
-                    folds.setdefault(pair, set()).update(
-                        emt.merged(l, e_out.label) for l in labels_at[e_out.src]
-                    )
+        fold = emt.merged
     else:
-        reach = _internal_reach(internal, internal_edges)
-        for e_in in in_edges:
-            for e_out in out_edges:
-                if e_out.src in reach[e_in.dst]:
-                    folds.setdefault((e_in.src, e_out.dst), set()).add(
-                        EdgeLabel.WAS_CAUSED_BY
-                    )
+        def fold(a: EdgeLabel, b: EdgeLabel) -> EdgeLabel:
+            return EdgeLabel.WAS_CAUSED_BY
+    folds: dict[tuple[str, str], set[EdgeLabel]] = {}
+    for e_in in in_edges:
+        labels_at: dict[str, set[EdgeLabel]] = {e_in.dst: {e_in.label}}
+        for vid in topo:
+            if vid not in labels_at:
+                continue
+            for e in succ[vid]:
+                labels_at.setdefault(e.dst, set()).update(
+                    fold(l, e.label) for l in labels_at[vid]
+                )
+        for e_out in out_edges:
+            if e_out.src in labels_at:
+                folds.setdefault((e_in.src, e_out.dst), set()).update(
+                    fold(l, e_out.label) for l in labels_at[e_out.src]
+                )
 
     bridges: list[Edge] = []
     for (u, w), labels in sorted(folds.items()):
@@ -238,13 +229,11 @@ def apply_remove(
             merged = EdgeLabel.WAS_CAUSED_BY
         bridges.append(Edge(u, w, merged))
 
+    # Bridges keep reachability among the survivors, so they close no
+    # cycle, and each falls back to a label legal between its ends: the
+    # result is valid whenever ``g`` is.
     orphans = _orphaned_attributes(g, internal)
-    removed = internal | orphans
-    vertices = [v for vid, v in sorted(g.vertices.items()) if vid not in removed]
-    edges = [e for e in g.edges if e.src not in removed and e.dst not in removed]
-    edges = sorted(set(edges) | set(bridges), key=edge_sort_key)
-    out = ProvenanceGraph(g.id, vertices, edges)
-    _check_valid(out, "remove")
+    out = g._successor(internal | orphans, (), bridges)
 
     record = {
         "op": "remove",
@@ -259,55 +248,32 @@ def apply_remove(
     return TransformResult(out, (record,))
 
 
-def _topo_order(ids: set[str], edges: list[Edge]) -> list[str]:
-    indeg = {vid: 0 for vid in ids}
-    for e in edges:
-        indeg[e.dst] += 1
-    ready = sorted(vid for vid, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        vid = ready.pop()
-        order.append(vid)
+def _topo_order(succ: dict[str, list[Edge]]) -> list[str]:
+    """Kahn's order of the cluster over its internal edges; members on a
+    cycle are left out."""
+    indeg = dict.fromkeys(succ, 0)
+    for edges in succ.values():
         for e in edges:
-            if e.src == vid:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-        ready.sort()
+            indeg[e.dst] += 1
+    order = [vid for vid, d in indeg.items() if d == 0]
+    for vid in order:  # grows while it is walked
+        for e in succ[vid]:
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                order.append(e.dst)
     return order
-
-
-def _internal_reach(ids: set[str], edges: list[Edge]) -> dict[str, set[str]]:
-    """Reflexive reachability inside the cluster along stored edges."""
-    succ: dict[str, set[str]] = {vid: set() for vid in ids}
-    for e in edges:
-        succ[e.src].add(e.dst)
-    reach: dict[str, set[str]] = {}
-
-    def visit(vid: str) -> set[str]:
-        if vid in reach:
-            return reach[vid]
-        acc = {vid}
-        reach[vid] = acc  # DAG: no revisit of an in-progress vertex
-        for n in succ[vid]:
-            acc |= visit(n)
-        reach[vid] = acc
-        return acc
-
-    for vid in ids:
-        visit(vid)
-    return reach
 
 
 def _orphaned_attributes(g: ProvenanceGraph, removed: set[str]) -> set[str]:
     """Attribute vertices all of whose hosts are being removed."""
     orphans: set[str] = set()
-    for vid, v in g.vertices.items():
-        if v.vtype is not VertexType.ATTRIBUTE or vid in removed:
-            continue
-        hosts = {e.src for e in g.attribute_host_edges(vid)}
-        if hosts and hosts <= removed:
-            orphans.add(vid)
+    for host in removed:
+        for e in g.attribute_edges(host):
+            vid = e.dst
+            if vid in removed or g.vertices[vid].vtype is not VertexType.ATTRIBUTE:
+                continue
+            if all(h.src in removed for h in g.attribute_host_edges(vid)):
+                orphans.add(vid)
     return orphans
 
 
@@ -353,17 +319,26 @@ def apply_replace(
     edges: set[Edge] = set()
     dropped_attribute_edges = 0
     rewired: list[dict] = []
-    for e in g.edges:
+    depends_on_cluster: set[str] = set()
+    cluster_depends_on: set[str] = set()
+    touching = [
+        e
+        for vid in sorted(removed)
+        for e in (*g.effect_edges(vid), *g.cause_edges(vid),
+                  *g.attribute_edges(vid), *g.attribute_host_edges(vid))
+    ]
+    for e in touching:
         src_in = e.src in removed
         dst_in = e.dst in removed
-        if not src_in and not dst_in:
-            edges.add(e)
-            continue
         if src_in and dst_in:
             continue
         if e.label is EdgeLabel.HAS_ATTRIBUTES:
             dropped_attribute_edges += 1
             continue
+        if src_in:
+            cluster_depends_on.add(e.dst)
+        else:
+            depends_on_cluster.add(e.src)
         src = new_id if src_in else e.src
         dst = new_id if dst_in else e.dst
         src_type = new_vertex.vtype if src_in else g.vertices[e.src].vtype
@@ -384,11 +359,17 @@ def apply_replace(
             {"src": src, "dst": dst, "label": new_label.value, "was": e.label.value}
         )
 
-    vertices = [v for vid, v in sorted(g.vertices.items()) if vid not in removed]
-    vertices.append(new_vertex)
-    vertices.sort(key=lambda v: v.id)
-    out = ProvenanceGraph(g.id, vertices, sorted(edges, key=edge_sort_key))
-    _check_valid(out, "replace")
+    # The new vertex sits on a cycle exactly when something the cluster
+    # depends on depends, outside the cluster, on something that depends
+    # on the cluster. Any other cycle was in ``g`` already.
+    closing = _reaches(g, cluster_depends_on, depends_on_cluster, removed)
+    if closing is not None:
+        raise TransformError(
+            f"replace produced an invalid graph: cycle: collapsing "
+            f"{', '.join(sorted(internal))} into {new_id!r} closes a cycle "
+            f"through {closing!r}"
+        )
+    out = g._successor(removed, (new_vertex,), edges)
 
     record = {
         "op": "replace",
@@ -405,6 +386,24 @@ def apply_replace(
         "dropped_attribute_edges": dropped_attribute_edges,
     }
     return TransformResult(out, (record,))
+
+
+def _reaches(
+    g: ProvenanceGraph, sources: set[str], targets: set[str], avoid: set[str]
+) -> str | None:
+    """A target reachable from a source along stored edges without
+    entering ``avoid``, or None."""
+    seen = set(sources)
+    stack = sorted(sources)
+    while stack:
+        vid = stack.pop()
+        if vid in targets:
+            return vid
+        for e in g.effect_edges(vid):
+            if e.dst not in seen and e.dst not in avoid:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return None
 
 
 def cluster_category(

@@ -15,15 +15,18 @@ from provpolicy.partition import (
     resolve,
 )
 from provpolicy.pathexpr import (
+    AttributeValueTest,
+    IdSetTest,
     NameTest,
     Terminal,
     TypedNameTest,
     TypeTest,
     WildcardTest,
 )
+from provpolicy.samples import sample_graph_a, sample_graph_b, sample_graph_c
 
 import oracles
-from util import random_node_test
+from util import E, G, V, random_node_test
 
 
 # ==== text form ====
@@ -122,6 +125,32 @@ def test_resolve_vertices_matches_oracle(small_graphs):
             sel = random_node_test(rng, g)
             part = resolve(g, VerticesSpec(sel))
             assert part.vertex_ids == frozenset(oracles.oracle_vertices(g, sel))
+
+
+def test_resolve_vertices_every_selector_kind(small_graphs):
+    # names and ids overlap: p's name is a's id, and g's name is its own id
+    overlap = G(
+        "overlap",
+        [V("p", "P", "a"), V("a", "A", "x"), V("g", "Ag"), V("t", "Att", "k", "v")],
+        [E("p", "a", "used"), E("p", "g", "wcb"), E("a", "t", "ha")],
+    )
+    graphs = [overlap, sample_graph_a(), sample_graph_b(), sample_graph_c(),
+              *small_graphs[:10]]
+    for g in graphs:
+        values = sorted({v.value for v in g.vertices.values() if v.value is not None})
+        selectors = [WildcardTest(), IdSetTest(frozenset(sorted(g.vertices)[::3]))]
+        selectors += [TypeTest(t) for t in VertexType]
+        selectors += [AttributeValueTest(t, x) for t in VertexType for x in values[:2]]
+        for v in list(g.vertices.values())[::2]:
+            selectors += [
+                NameTest((v.name,)),
+                NameTest((v.id,)),
+                NameTest(("no-such-name", v.name, v.id)),
+                *(TypedNameTest(t, (v.name, "no-such-name")) for t in VertexType),
+            ]
+        for sel in selectors:
+            part = resolve(g, VerticesSpec(sel))
+            assert part.vertex_ids == frozenset(oracles.oracle_vertices(g, sel)), sel
 
 
 def test_resolve_directed_matches_oracle(small_graphs):

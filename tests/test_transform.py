@@ -215,6 +215,27 @@ def test_remove_preserves_reachability(small_graphs, emt):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("label", list(DependencyLabel))
+def test_remove_inner_vertices_of_long_chain(emt, label):
+    # a walk that recursed once per vertex overflowed the interpreter
+    # stack on this chain
+    n = 3000
+    g = G(
+        "long-chain",
+        [V(f"p{i}", "P") for i in range(n)],
+        [E(f"p{i + 1}", f"p{i}", "wtb") for i in range(n - 1)],
+    )
+    inner = frozenset(f"p{i}" for i in range(1, n - 1))
+    res = apply_remove(g, Cluster(inner), label, emt)
+    assert set(res.graph.vertices) == {"p0", f"p{n - 1}"}
+    [bridge] = res.graph.edges
+    assert (bridge.src, bridge.dst) == (f"p{n - 1}", "p0")
+    if label is DependencyLabel.ORIGINAL:
+        assert bridge.label is oracles.fold_labels(emt, [WTB] * (n - 1))
+    else:
+        assert bridge.label is WCSD
+
+
 def test_remove_orphaned_attributes(emt):
     g = G(
         "att",
