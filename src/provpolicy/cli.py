@@ -5,8 +5,9 @@ edge schema, ``query`` evaluates a path expression or partition expression,
 ``apply`` evaluates policies against an access request and writes the
 transformed view, and ``bench`` drives the generators and timing harness.
 
-Exit codes: 0 success, 1 bad input (syntax, schema, unknown names),
-2 file system problems, 3 request denied outright.
+Exit codes: 0 success, 1 bad input (syntax, schema, unknown names) or
+any other failure, 2 file system problems, 3 request denied outright.
+No failure ends in a traceback: each prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -311,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args, f"file error: {e}", EXIT_IO)
     except ProvPolicyError as e:
         return _fail(args, str(e), EXIT_INPUT)
+    except Exception as e:  # noqa: BLE001  (no traceback reaches the user)
+        detail = " ".join(str(e).split())
+        return _fail(args, f"{type(e).__name__}: {detail}", EXIT_INPUT)
 
 
 if __name__ == "__main__":

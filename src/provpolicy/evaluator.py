@@ -32,9 +32,9 @@ from .query import eval_query
 from .transform import (
     Cluster,
     TransformResult,
-    _check_valid,
     apply_remove,
     apply_replace,
+    check_view,
     cluster_category,
     expand_scope,
 )
@@ -189,7 +189,7 @@ def evaluate(
         records.extend({**context, **r} for r in step.log)
 
     if applied:
-        _check_valid(working, "transformation plan")
+        check_view(working, "transformation plan")
     outcome = Outcome.PERMIT_FULL if not applied else Outcome.PERMIT_TRANSFORMED
     view = working
     if req.query is not None:

@@ -143,7 +143,8 @@ class Violation:
 class ProvenanceGraph:
     """An immutable provenance graph with prebuilt adjacency indexes."""
 
-    __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names")
+    __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names",
+                 "_valid", "_derived")
 
     def __init__(self, graph_id: str, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         self.id = graph_id
@@ -155,6 +156,12 @@ class ProvenanceGraph:
         self.vertices: dict[str, Vertex] = vs
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
         self._names: dict[str, frozenset[str]] | None = None
+        # whether validate_graph(self, allow_was_caused_by=True) is empty,
+        # once a check has found out
+        self._valid: bool | None = None
+        # for a successor: the graph its chain of steps started from, and
+        # every vertex and edge those steps added
+        self._derived: tuple[ProvenanceGraph, tuple[Vertex, ...], tuple[Edge, ...]] | None = None
 
         out: dict[str, list[Edge]] = {}
         inc: dict[str, list[Edge]] = {}
@@ -186,13 +193,21 @@ class ProvenanceGraph:
 
         The parent's dicts are copied whole, which hashes no vertex or
         edge again; only the adjacency entries of vertices that lose or
-        gain an edge are re-sorted.
+        gain an edge are re-sorted. The result records its chain's first
+        graph and everything the chain added, in ``_derived``.
         """
+        add_vertices, add_edges = tuple(add_vertices), tuple(add_edges)
         g = object.__new__(ProvenanceGraph)
         g.id = self.id
         g.vertices = vs = self.vertices.copy()
         g._edges = es = self._edges.copy()
         g._names = None
+        g._valid = None
+        if self._derived is None:
+            g._derived = (self, add_vertices, add_edges)
+        else:
+            origin, vertices, edges = self._derived
+            g._derived = (origin, vertices + add_vertices, edges + add_edges)
         g._out, g._in = self._out.copy(), self._in.copy()
         g._ha_out, g._ha_in = self._ha_out.copy(), self._ha_in.copy()
         # indexes by position: 0/1 keyed by src/dst, 2/3 the same for
@@ -235,6 +250,27 @@ class ProvenanceGraph:
             else:
                 tables[t].pop(vid, None)
         return g
+
+    def _derivation(self) -> tuple[ProvenanceGraph, bool]:
+        """The graph this one's chain of steps started from (itself when
+        built directly), and whether everything the chain added that this
+        graph still holds is legal: each edge joins present vertices in a
+        legal triple, wasCausedBy allowed, and no new vertex has a value."""
+        if self._derived is None:
+            return self, True
+        origin, vertices, edges = self._derived
+        vs = self.vertices
+        if any(v.value is not None for v in vertices if vs.get(v.id) is v):
+            return origin, False
+        for e in edges:
+            src, dst = vs.get(e.src), vs.get(e.dst)
+            if src is None or dst is None:
+                # gone with a later step's vertices, or dangling
+                if e in self._edges:
+                    return origin, False
+            elif not edge_is_legal(src.vtype, dst.vtype, e.label, allow_was_caused_by=True):
+                return origin, False
+        return origin, True
 
     @property
     def edges(self) -> KeysView[Edge]:
@@ -386,33 +422,47 @@ def validate_graph(
     """
     violations: list[Violation] = []
 
-    for vid in sorted(g.vertices):
-        v = g.vertices[vid]
-        if v.value is not None and v.vtype is not VertexType.ATTRIBUTE:
-            violations.append(
-                Violation(
-                    "value-on-non-attribute",
-                    f"vertex {vid!r} has a value but is of type {v.vtype.value}",
-                )
+    # vertices and edges are checked in any order; only the offending
+    # ones are sorted
+    vs = g.vertices
+    for vid in sorted(
+        vid for vid, v in vs.items()
+        if v.value is not None and v.vtype is not VertexType.ATTRIBUTE
+    ):
+        violations.append(
+            Violation(
+                "value-on-non-attribute",
+                f"vertex {vid!r} has a value but is of type {vs[vid].vtype.value}",
             )
+        )
 
     placed: list[Edge] = []
-    for e in sorted(g.edges, key=edge_sort_key):
-        missing = [end for end in (e.src, e.dst) if end not in g.vertices]
-        if missing:
-            violations.append(
-                Violation(
-                    "dangling-edge",
-                    f"edge ({e.src}, {e.dst}, {e.label.value}) references "
-                    f"missing vertex id(s) {', '.join(repr(m) for m in missing)}",
-                )
-            )
+    dangling: list[Edge] = []
+    offending: list[Edge] = []
+    for e in g.edges:
+        if e.src not in vs or e.dst not in vs:
+            dangling.append(e)
             continue
         placed.append(e)
+        src_t = vs[e.src].vtype
+        if src_t is VertexType.ATTRIBUTE or not edge_is_legal(
+            src_t, vs[e.dst].vtype, e.label, allow_was_caused_by=allow_was_caused_by
+        ):
+            offending.append(e)
 
-    for e in placed:
-        src_t = g.vertices[e.src].vtype
-        dst_t = g.vertices[e.dst].vtype
+    for e in sorted(dangling, key=edge_sort_key):
+        missing = [end for end in (e.src, e.dst) if end not in vs]
+        violations.append(
+            Violation(
+                "dangling-edge",
+                f"edge ({e.src}, {e.dst}, {e.label.value}) references "
+                f"missing vertex id(s) {', '.join(repr(m) for m in missing)}",
+            )
+        )
+
+    for e in sorted(offending, key=edge_sort_key):
+        src_t = vs[e.src].vtype
+        dst_t = vs[e.dst].vtype
         if src_t is VertexType.ATTRIBUTE:
             violations.append(
                 Violation(
@@ -422,14 +472,13 @@ def validate_graph(
                 )
             )
             continue
-        if not edge_is_legal(src_t, dst_t, e.label, allow_was_caused_by=allow_was_caused_by):
-            violations.append(
-                Violation(
-                    "illegal-edge",
-                    f"({src_t.code}, {dst_t.code}, {e.label.value}) is not an "
-                    f"allowed edge triple: ({e.src}, {e.dst}, {e.label.value})",
-                )
+        violations.append(
+            Violation(
+                "illegal-edge",
+                f"({src_t.code}, {dst_t.code}, {e.label.value}) is not an "
+                f"allowed edge triple: ({e.src}, {e.dst}, {e.label.value})",
             )
+        )
 
     violations.extend(_cycle_violations(g, placed))
     return violations
@@ -446,6 +495,10 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
             self_loops.append(e)
             continue
         adj.setdefault(e.src, []).append(e.dst)
+    if not self_loops and _acyclic(adj):
+        return []
+    for neighbors in adj.values():
+        neighbors.sort()
 
     out: list[Violation] = []
     for e in sorted(self_loops, key=edge_sort_key):
@@ -472,7 +525,7 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
                 counter += 1
                 stack.append(node)
                 on_stack.add(node)
-            neighbors = sorted(adj.get(node, ()))
+            neighbors = adj.get(node, ())
             if ei < len(neighbors):
                 work[-1] = (node, ei + 1)
                 nxt = neighbors[ei]
@@ -501,6 +554,22 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
             Violation("cycle", "cycle among non-attribute edges: " + ", ".join(comp))
         )
     return out
+
+
+def _acyclic(adj: dict[str, list[str]]) -> bool:
+    """Kahn's test: the graph is acyclic exactly when repeatedly taking
+    vertices without remaining in-edges takes them all."""
+    indeg: dict[str, int] = {}
+    for targets in adj.values():
+        for w in targets:
+            indeg[w] = indeg.get(w, 0) + 1
+    ready = [v for v in adj if v not in indeg]
+    for v in ready:  # grows while it is walked
+        for w in adj.get(v, ()):
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return not any(indeg.values())
 
 
 # ==== serialization ====

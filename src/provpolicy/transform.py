@@ -10,8 +10,8 @@ JSON-serializable audit log; inputs are never mutated.
 
 Both steps take a graph that passes ``validate_graph(g,
 allow_was_caused_by=True)`` and return one, without checking the whole
-result: a pipeline validates the view it produces once, after its last
-step.
+result: a pipeline checks the view it produces once, after its last
+step, with ``check_view``.
 """
 
 from __future__ import annotations
@@ -277,11 +277,30 @@ def _orphaned_attributes(g: ProvenanceGraph, removed: set[str]) -> set[str]:
     return orphans
 
 
-def _check_valid(g: ProvenanceGraph, op: str) -> None:
-    violations = validate_graph(g, allow_was_caused_by=True)
-    if violations:
-        detail = "; ".join(f"{v.kind}: {v.message}" for v in violations)
-        raise TransformError(f"{op} produced an invalid graph: {detail}")
+def check_view(g: ProvenanceGraph, op: str) -> None:
+    """Raise TransformError unless ``g`` passes ``validate_graph(g,
+    allow_was_caused_by=True)``.
+
+    A graph derived by steps from a graph known valid is checked only for
+    what the steps added and it still holds: edges in legal triples, new
+    vertices without a value. The step contract covers the rest. Any
+    other graph, or a failed delta check, is validated in full. Whether a
+    graph is valid is cached on it, so a chain's first graph is validated
+    once however many chains start from it.
+    """
+    origin, additions_legal = g._derivation()
+    if not (additions_legal and _known_valid(origin)):
+        violations = validate_graph(g, allow_was_caused_by=True)
+        if violations:
+            detail = "; ".join(f"{v.kind}: {v.message}" for v in violations)
+            raise TransformError(f"{op} produced an invalid graph: {detail}")
+    g._valid = True
+
+
+def _known_valid(g: ProvenanceGraph) -> bool:
+    if g._valid is None:
+        g._valid = not validate_graph(g, allow_was_caused_by=True)
+    return g._valid
 
 
 # ==== replacement ====
@@ -485,5 +504,5 @@ def apply_transformations(
                 )
             working = step.graph
             records.extend({**context, **r} for r in step.log)
-    _check_valid(working, "transformation pipeline")
+    check_view(working, "transformation pipeline")
     return TransformResult(working, tuple(records))

@@ -69,9 +69,24 @@ def stored_in(g: ProvenanceGraph, vid: str) -> list[Edge]:
     ]
 
 
+def _stored_map(g: ProvenanceGraph, *, forward: bool) -> dict[str, list[str]]:
+    """Per vertex, the ends of its non-attribute edges, read from the edge
+    list in one pass: the sources of the edges entering it when
+    ``forward``, else the targets of the edges leaving it."""
+    adj: dict[str, list[str]] = {}
+    for e in g.edges:
+        if e.label is not EdgeLabel.HAS_ATTRIBUTES:
+            if forward:
+                adj.setdefault(e.dst, []).append(e.src)
+            else:
+                adj.setdefault(e.src, []).append(e.dst)
+    return adj
+
+
 def has_cycle(g: ProvenanceGraph) -> bool:
     """Cycle among non-attribute edges, by iterative three-color DFS."""
     WHITE, GRAY, BLACK = 0, 1, 2
+    succ = _stored_map(g, forward=False)
     color = {vid: WHITE for vid in g.vertices}
     for root in g.vertices:
         if color[root] != WHITE:
@@ -86,27 +101,22 @@ def has_cycle(g: ProvenanceGraph) -> bool:
                 continue
             color[vid] = GRAY
             stack.append((vid, True))
-            for e in stored_out(g, vid):
-                if color[e.dst] == GRAY:
+            for dst in succ.get(vid, ()):
+                if color[dst] == GRAY:
                     return True
-                if color[e.dst] == WHITE:
-                    stack.append((e.dst, False))
+                if color[dst] == WHITE:
+                    stack.append((dst, False))
     return False
 
 
 def closure(g: ProvenanceGraph, vid: str, *, forward: bool) -> set[str]:
     """Transitive closure over non-attribute edges. ``forward`` walks
     with the arrow of time (against the stored orientation)."""
+    step = _stored_map(g, forward=forward)
     seen = {vid}
     queue = deque([vid])
     while queue:
-        cur = queue.popleft()
-        nexts = (
-            [e.src for e in stored_in(g, cur)]
-            if forward
-            else [e.dst for e in stored_out(g, cur)]
-        )
-        for nxt in nexts:
+        for nxt in step.get(queue.popleft(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -106,6 +106,30 @@ def test_query_error_goes_to_stderr_without_json(capsys):
     assert err.startswith("error:")
 
 
+def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
+    # the path engine recurses once per vertex, which this chain
+    # overflows; whatever fails, the user gets one error line
+    n = 3000
+    chain = {
+        "id": "chain",
+        "vertices": [{"id": f"p{i:04d}", "type": "process", "name": f"p{i:04d}"}
+                     for i in range(n)],
+        "edges": [{"src": f"p{i + 1:04d}", "dst": f"p{i:04d}", "label": "wasTriggeredBy"}
+                  for i in range(n - 1)],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    code, out, err = run(capsys, "query", "--graph", str(path), "//p2999//p0000")
+    if code == 0:
+        assert out.startswith("1 path(s)")
+    else:
+        assert code == 1
+        assert not out
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # ==== apply ====
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from provpolicy.errors import EvaluationError
+from provpolicy.errors import EvaluationError, TransformError
 from provpolicy.evaluator import (
     Decision,
     Outcome,
@@ -25,6 +25,8 @@ from provpolicy.policy import (
     Transformation,
 )
 from provpolicy.samples import sample_policy
+
+from util import E, G, V
 
 
 def pol(pid, effect, ids, mode=Mode.REMOVE, graph="sample-a"):
@@ -321,3 +323,66 @@ def test_random_policy_sets_order_independent(small_graphs, vcd, emt):
             h = structural_hash(result.graph)
             base = h if base is None else base
             assert h == base
+
+
+# ==== invalid input graphs ====
+
+# An invalid input is reported by the check of the produced view, with
+# every violation the view still holds.
+
+
+def test_invalid_input_with_illegal_triple_fails_the_plan(vcd, emt):
+    g = G(
+        "broken",
+        [V("p1", "P"), V("a1", "A"), V("a2", "A"), V("ag", "Ag")],
+        [E("p1", "a1", "used"), E("a2", "p1", "wgb"), E("p1", "ag", "wcb"),
+         E("ag", "a1", "used")],
+    )
+    p = pol("hide", Effect.DENY, ["a2"], graph="broken")
+    with pytest.raises(TransformError) as info:
+        evaluate(req_for(g), [p], g, vcd, emt)
+    assert str(info.value) == (
+        "transformation plan produced an invalid graph: illegal-edge: "
+        "(Ag, A, used) is not an allowed edge triple: (ag, a1, used)"
+    )
+
+
+def test_invalid_input_with_cycle_fails_the_plan(vcd, emt):
+    g = G(
+        "looped",
+        [V("p1", "P"), V("p2", "P"), V("p3", "P"), V("a1", "A", value="x")],
+        [E("p1", "p2", "wtb"), E("p2", "p1", "wtb"), E("p3", "p1", "wtb"),
+         E("p3", "a1", "used")],
+    )
+    p = pol("hide", Effect.DENY, ["p3"], graph="looped")
+    with pytest.raises(TransformError) as info:
+        evaluate(req_for(g), [p], g, vcd, emt)
+    assert str(info.value) == (
+        "transformation plan produced an invalid graph: "
+        "value-on-non-attribute: vertex 'a1' has a value but is of type artifact; "
+        "cycle: cycle among non-attribute edges: p1, p2"
+    )
+
+
+def test_plan_removing_the_invalid_part_is_accepted(vcd, emt):
+    g = G(
+        "broken",
+        [V("p1", "P"), V("a1", "A"), V("ag", "Ag")],
+        [E("p1", "a1", "used"), E("p1", "ag", "wcb"), E("ag", "a1", "used")],
+    )
+    p = pol("hide", Effect.DENY, ["ag"], graph="broken")
+    decision, result = evaluate(req_for(g), [p], g, vcd, emt)
+    assert decision.outcome is Outcome.PERMIT_TRANSFORMED
+    assert set(result.graph.vertices) == {"p1", "a1"}
+
+
+def test_invalid_input_without_an_applied_step_is_not_checked(vcd, emt):
+    g = G(
+        "broken",
+        [V("p1", "P"), V("a1", "A"), V("ag", "Ag")],
+        [E("p1", "a1", "used"), E("ag", "a1", "used")],
+    )
+    p = pol("allow", Effect.PERMIT, None, graph="broken")
+    decision, result = evaluate(req_for(g), [p], g, vcd, emt)
+    assert decision.outcome is Outcome.PERMIT_FULL
+    assert result.graph is g
