@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import InfeasibleConfigError, PathLimitError
 from .evaluator import evaluate
-from .graph import Edge, EdgeLabel, ProvenanceGraph, Vertex, VertexType, induced_edges
+from .graph import Edge, EdgeLabel, ProvenanceGraph, Vertex, VertexType
 from .partition import (
     DirectedPathSpec,
     GeneralPathSpec,
@@ -207,8 +207,7 @@ def sample_partitions(g: ProvenanceGraph, n: int, seed: int) -> list[Partition]:
             for nb in g.all_neighbors(vid):
                 if g.vertices[nb].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
                     hull.add(nb)
-        ids = frozenset(hull)
-        out.append(Partition(ids, induced_edges(g, ids)))
+        out.append(Partition(frozenset(hull), g))
     return out
 
 

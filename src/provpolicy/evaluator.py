@@ -83,11 +83,13 @@ def combine_effects(
 ) -> dict[str, Effect]:
     """Winning effect per vertex: the strongest effect of any covering
     policy, permit for vertices in no coverage set."""
-    out: dict[str, Effect] = {vid: Effect.PERMIT for vid in vertices}
+    out: dict[str, Effect] = dict.fromkeys(vertices, Effect.PERMIT)
+    ranks: dict[str, int] = {}  # of the covered vertices; permit ranks 0
     for effect, ids in per_policy:
+        rank = effect.rank
         for vid in ids:
-            current = out.get(vid, Effect.PERMIT)
-            if effect.rank > current.rank:
+            if rank > ranks.get(vid, 0):
+                ranks[vid] = rank
                 out[vid] = effect
     return out
 
@@ -129,15 +131,16 @@ def evaluate(
                 rows.append((ti, t, c))
         clusters_of[p.id] = rows
 
-    effects = combine_effects(
-        (
-            (p.effect, set().union(*(c.vertex_ids for _, _, c in clusters_of[p.id])))
-            for p in apps
-        ),
-        g.vertices,
-    )
-    protected = {vid for vid, e in effects.items() if e is Effect.ABSOLUTE_PERMIT}
-    hidden = {vid for vid, e in effects.items() if e is Effect.DENY}
+    coverage = [
+        (p.effect, set().union(*(c.vertex_ids for _, _, c in clusters_of[p.id])))
+        for p in apps
+    ]
+    effects = combine_effects(coverage, g.vertices)
+    # only a deny or absolute-permit policy can make a vertex hidden or
+    # protected
+    covered = set().union(*(ids for e, ids in coverage if e is not Effect.PERMIT))
+    protected = {vid for vid in covered if effects[vid] is Effect.ABSOLUTE_PERMIT}
+    hidden = {vid for vid in covered if effects[vid] is Effect.DENY}
 
     steps: list[PlanStep] = []
     for p in apps:

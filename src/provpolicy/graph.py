@@ -144,7 +144,7 @@ class ProvenanceGraph:
     """An immutable provenance graph with prebuilt adjacency indexes."""
 
     __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names",
-                 "_valid", "_derived")
+                 "_types", "_values", "_categories", "_valid", "_derived")
 
     def __init__(self, graph_id: str, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         self.id = graph_id
@@ -155,7 +155,12 @@ class ProvenanceGraph:
             vs[v.id] = v
         self.vertices: dict[str, Vertex] = vs
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
+        # lookups built on first use: by name or id, by type, by (type,
+        # attribute value), and one vertex -> category map per dictionary
         self._names: dict[str, frozenset[str]] | None = None
+        self._types: dict[VertexType, frozenset[str]] | None = None
+        self._values: dict[tuple[VertexType, str], frozenset[str]] | None = None
+        self._categories: dict[Any, dict[str, Any]] | None = None
         # whether validate_graph(self, allow_was_caused_by=True) is empty,
         # once a check has found out
         self._valid: bool | None = None
@@ -201,7 +206,7 @@ class ProvenanceGraph:
         g.id = self.id
         g.vertices = vs = self.vertices.copy()
         g._edges = es = self._edges.copy()
-        g._names = None
+        g._names = g._types = g._values = g._categories = None
         g._valid = None
         if self._derived is None:
             g._derived = (self, add_vertices, add_edges)
@@ -287,6 +292,36 @@ class ProvenanceGraph:
                 names.setdefault(vid, set()).add(vid)
             self._names = {k: frozenset(ids) for k, ids in names.items()}
         return self._names.get(name, frozenset())
+
+    def ids_of_type(self, vtype: VertexType) -> frozenset[str]:
+        """Ids of the vertices of type ``vtype``. The lookup map is built
+        on the first call."""
+        if self._types is None:
+            types: dict[VertexType, set[str]] = {}
+            for vid, v in self.vertices.items():
+                types.setdefault(v.vtype, set()).add(vid)
+            self._types = {t: frozenset(ids) for t, ids in types.items()}
+        return self._types.get(vtype, frozenset())
+
+    def ids_with_value(self, vtype: VertexType, value: str) -> frozenset[str]:
+        """Ids of the vertices of type ``vtype`` that carry ``value``: an
+        attribute vertex its own value, any other vertex the value of an
+        attribute vertex attached to it (a missing value read as "", as in
+        ``attribute_pairs``). The lookup map is built on the first call."""
+        if self._values is None:
+            values: dict[tuple[VertexType, str], set[str]] = {}
+            for vid, v in self.vertices.items():
+                if v.vtype is VertexType.ATTRIBUTE:
+                    if v.value is not None:
+                        values.setdefault((v.vtype, v.value), set()).add(vid)
+                    continue
+                for e in self._ha_out.get(vid, ()):
+                    att = self.vertices[e.dst]
+                    if att.vtype is VertexType.ATTRIBUTE:
+                        key = (v.vtype, att.value if att.value is not None else "")
+                        values.setdefault(key, set()).add(vid)
+            self._values = {k: frozenset(ids) for k, ids in values.items()}
+        return self._values.get((vtype, value), frozenset())
 
     # ==== basic access ====
 
@@ -402,9 +437,17 @@ class ProvenanceGraph:
 
 
 def induced_edges(g: ProvenanceGraph, ids: frozenset[str] | set[str]) -> tuple[Edge, ...]:
-    """Edges of ``g`` with both endpoints inside ``ids``, canonically sorted."""
+    """Edges of ``g`` between vertices in ``ids``, canonically sorted."""
     return tuple(
-        sorted((e for e in g.edges if e.src in ids and e.dst in ids), key=edge_sort_key)
+        sorted(
+            (
+                e
+                for vid in ids
+                for e in (*g._out.get(vid, ()), *g._ha_out.get(vid, ()))
+                if e.dst in ids
+            ),
+            key=edge_sort_key,
+        )
     )
 
 

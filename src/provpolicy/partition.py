@@ -19,7 +19,8 @@ selector to the graph's end, respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ExprSyntaxError
 from .graph import Edge, ProvenanceGraph, VertexType, induced_edges
@@ -31,12 +32,7 @@ from .pathexpr import (
     matching_ids,
     node_test_to_text,
 )
-from .query import (
-    DEFAULT_MAX_PATHS,
-    PathMatch,
-    eval_directed_path,
-    eval_general_path,
-)
+from .query import DEFAULT_MAX_PATHS, eval_directed_path, eval_general_path
 
 
 @dataclass(frozen=True)
@@ -68,24 +64,26 @@ PartitionSpec = VerticesSpec | DirectedPathSpec | GeneralPathSpec | SubgraphSpec
 
 @dataclass(frozen=True)
 class Partition:
-    """A resolved partition: vertex ids, the edges among them, and (for
-    path-based specs) the witnessing paths."""
+    """A resolved partition: vertex ids of ``graph``. The edges among them
+    are listed on first read."""
 
     vertex_ids: frozenset[str]
-    induced: tuple[Edge, ...]
-    witness_paths: tuple[PathMatch, ...] | None = None
+    graph: ProvenanceGraph = field(compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
         return not self.vertex_ids
+
+    @cached_property
+    def induced(self) -> tuple[Edge, ...]:
+        return induced_edges(self.graph, self.vertex_ids)
 
 
 # ==== resolution ====
 
 
 def resolve_vertices(g: ProvenanceGraph, spec: VerticesSpec) -> Partition:
-    ids = matching_ids(spec.selector, g)
-    return Partition(ids, induced_edges(g, ids))
+    return Partition(matching_ids(spec.selector, g), g)
 
 
 def _anchor_test(g: ProvenanceGraph, endpoint: NodeTest | Terminal) -> NodeTest:
@@ -108,8 +106,7 @@ def resolve_path(
         )
     else:
         paths = eval_general_path(g, spec.start, spec.end, max_paths=max_paths)
-    ids = frozenset(vid for p in paths for vid in p.vertices)
-    return Partition(ids, induced_edges(g, ids), tuple(paths))
+    return Partition(frozenset(vid for p in paths for vid in p.vertices), g)
 
 
 def resolve_subgraph(
@@ -136,8 +133,7 @@ def resolve_subgraph(
         for n in g.all_neighbors(vid):
             if g.vertices[n].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
                 hull.add(n)
-    ids = frozenset(hull)
-    return Partition(ids, induced_edges(g, ids), tuple(paths))
+    return Partition(frozenset(hull), g)
 
 
 def resolve(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import ExprSyntaxError
 from .graph import ProvenanceGraph, TYPE_BY_CODE, VertexType
@@ -141,6 +140,8 @@ class PathExpr:
 
 
 def test_matches(test: NodeTest, g: ProvenanceGraph, vid: str) -> bool:
+    """Whether ``test`` matches the vertex ``vid``: the reference
+    definition that ``matching_ids`` answers from the graph's lookups."""
     v = g.vertices[vid]
     if isinstance(test, WildcardTest):
         return True
@@ -162,23 +163,28 @@ def test_matches(test: NodeTest, g: ProvenanceGraph, vid: str) -> bool:
 
 
 def matching_ids(test: NodeTest, g: ProvenanceGraph) -> frozenset[str]:
-    """Ids of every vertex ``test`` matches. Name literals are looked up
-    in the graph's name map rather than tested against every vertex."""
+    """Ids of every vertex ``test`` matches, read from the graph's lookups
+    by name, type and attribute value without testing each vertex."""
+    if isinstance(test, WildcardTest):
+        return frozenset(g.vertices)
+    if isinstance(test, IdSetTest):
+        return frozenset(vid for vid in test.ids if vid in g.vertices)
     if isinstance(test, (NameTest, TypedNameTest)):
-        candidates: Iterable[str] = frozenset().union(*map(g.ids_named, test.names))
-    else:
-        candidates = g.vertices
-    return frozenset(vid for vid in candidates if test_matches(test, g, vid))
+        named = frozenset().union(*map(g.ids_named, test.names))
+        if isinstance(test, NameTest):
+            return named
+        return named & g.ids_of_type(test.vtype)
+    if isinstance(test, TypeTest):
+        return g.ids_of_type(test.vtype)
+    if isinstance(test, AttributeValueTest):
+        return g.ids_with_value(test.vtype, test.value)
+    raise TypeError(f"not a node test: {test!r}")
 
 
 def pred_matches(pred: AttrPred | None, g: ProvenanceGraph, vid: str) -> bool:
     if pred is None:
         return True
     return (pred.name, pred.value) in g.attribute_pairs(vid)
-
-
-def step_matches(step: PathStep, g: ProvenanceGraph, vid: str) -> bool:
-    return test_matches(step.test, g, vid) and pred_matches(step.pred, g, vid)
 
 
 # ==== rendering (for policy serialization round trips) ====

@@ -27,6 +27,7 @@ from .partition import (
 from .pathexpr import (
     NodeTest,
     PathExpr,
+    matching_ids,
     node_test_to_text,
     parse_node_test_text,
     test_matches,
@@ -97,9 +98,7 @@ class Target:
     def matches(self, req: AccessRequest, g: ProvenanceGraph) -> bool:
         if self.graph_ids and g.id not in self.graph_ids:
             return False
-        if self.resource is not None and not any(
-            test_matches(self.resource, g, vid) for vid in g.vertices
-        ):
+        if self.resource is not None and not matching_ids(self.resource, g):
             return False
         return all(p.holds(req.attributes) for p in self.requester)
 
@@ -389,11 +388,30 @@ class CategoryDictionary:
 
     def category_of(self, g: ProvenanceGraph, vid: str) -> Category | None:
         """First category (document order) with a member test matching
-        the vertex, or None."""
+        the vertex, or None. The reference definition of
+        ``category_map``."""
         for c in self.categories:
             if any(test_matches(t, g, vid) for t in c.members):
                 return c
         return None
+
+    def category_map(self, g: ProvenanceGraph) -> dict[str, Category]:
+        """Every categorised vertex of ``g`` with its first category in
+        document order. Built on the first call for each (graph,
+        dictionary) pair and kept on the graph; callers must not change
+        it."""
+        maps = g._categories
+        if maps is None:
+            maps = g._categories = {}
+        found = maps.get(self)
+        if found is None:
+            found = {}
+            for c in self.categories:
+                for t in c.members:
+                    for vid in matching_ids(t, g):
+                        found.setdefault(vid, c)
+            maps[self] = found
+        return found
 
 
 def parse_vcd(doc: str | bytes | Mapping) -> CategoryDictionary:

@@ -13,7 +13,8 @@ non-attribute edges and return canonically sorted, deduplicated matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PathLimitError, QueryError
 from .graph import Direction, Edge, ProvenanceGraph
@@ -21,9 +22,9 @@ from .pathexpr import (
     Axis,
     NodeTest,
     PathExpr,
+    matching_ids,
     parse_path_expr,
-    step_matches,
-    test_matches,
+    pred_matches,
 )
 
 #: Default ceiling on enumerated paths; hitting it raises PathLimitError
@@ -105,39 +106,53 @@ def eval_query(
 
     out = _Collector(max_paths)
     steps = expr.steps
+    # the vertices each step matches, predicate included
+    hits = [
+        frozenset(vid for vid in matching_ids(step.test, g) if pred_matches(step.pred, g, vid))
+        for step in steps
+    ]
 
-    def extend(path: list[str], edges: list[Edge], used: set[str], idx: int) -> None:
-        if idx == len(steps):
-            out.add(
-                PathMatch(
-                    tuple(path),
-                    (Direction.EFFECT,) * len(edges),
-                    tuple(edges),
-                )
-            )
-            return
-        step = steps[idx]
-        for e in _first_edge_per_target(g.effect_edges(path[-1]), by_dst=True):
+    def moves(vid: str, idx: int) -> Iterator[tuple[Edge, int]]:
+        """The hops from ``vid`` while step ``idx`` is pending, each with
+        the step pending after it: ``idx + 1`` where the hop's target
+        matches step ``idx``, and ``idx`` again where a descendant axis
+        walks on through its gap."""
+        for e in _first_edge_per_target(g.effect_edges(vid), by_dst=True):
+            if e.dst in hits[idx]:
+                yield e, idx + 1
+            if steps[idx].axis is Axis.DESCENDANT:
+                yield e, idx
+
+    # depth first with an explicit stack, one generator of moves per
+    # vertex on the current path but the last; order does not matter, as
+    # the collector sorts
+    for start in sorted(hits[0]):
+        if len(steps) == 1:
+            out.add(PathMatch((start,)))
+            continue
+        path: list[str] = [start]
+        edges: list[Edge] = []
+        used = {start}
+        stack = [moves(start, 1)]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if stack:
+                    used.discard(path.pop())
+                    edges.pop()
+                continue
+            e, idx = move
             if e.dst in used:
                 continue
-            matched = step_matches(step, g, e.dst)
-            if step.axis is Axis.CHILD and not matched:
+            if idx == len(steps):
+                out.add(PathMatch((*path, e.dst), (Direction.EFFECT,) * (len(edges) + 1),
+                                  (*edges, e)))
                 continue
             path.append(e.dst)
             edges.append(e)
             used.add(e.dst)
-            if matched:
-                extend(path, edges, used, idx + 1)
-            if step.axis is Axis.DESCENDANT:
-                # keep walking the gap whether or not this vertex matched
-                extend(path, edges, used, idx)
-            used.discard(e.dst)
-            edges.pop()
-            path.pop()
-
-    for vid in sorted(g.vertices):
-        if step_matches(steps[0], g, vid):
-            extend([vid], [], {vid}, 1)
+            stack.append(moves(e.dst, idx))
     return out.sorted()
 
 
@@ -156,11 +171,13 @@ def eval_directed_path(
     steps only, passing through each via test in order (strictly between
     the endpoints). Matches shorter than three vertices are discarded."""
     out = _Collector(max_paths)
+    ends = matching_ids(to_test, g)
+    via_hits = [matching_ids(test, g) for test in via]
 
     def vias_satisfied(interior: list[str]) -> bool:
         pos = 0
-        for test in via:
-            while pos < len(interior) and not test_matches(test, g, interior[pos]):
+        for hits in via_hits:
+            while pos < len(interior) and interior[pos] not in hits:
                 pos += 1
             if pos == len(interior):
                 return False
@@ -170,7 +187,7 @@ def eval_directed_path(
     def walk(path: list[str], edges: list[Edge], used: set[str]) -> None:
         if (
             len(path) >= MIN_PATH_VERTICES
-            and test_matches(to_test, g, path[-1])
+            and path[-1] in ends
             and vias_satisfied(path[1:-1])
         ):
             out.add(
@@ -187,9 +204,8 @@ def eval_directed_path(
             edges.pop()
             path.pop()
 
-    for vid in sorted(g.vertices):
-        if test_matches(from_test, g, vid):
-            walk([vid], [], {vid})
+    for vid in sorted(matching_ids(from_test, g)):
+        walk([vid], [], {vid})
     return out.sorted()
 
 
@@ -207,6 +223,7 @@ def eval_general_path(
     a cause or an effect step; the direction taken is recorded per hop.
     Matches shorter than three vertices are discarded."""
     out = _Collector(max_paths)
+    ends = matching_ids(to_test, g)
 
     def moves(vid: str) -> list[tuple[str, Direction, Edge]]:
         found: dict[str, tuple[str, Direction, Edge]] = {}
@@ -222,7 +239,7 @@ def eval_general_path(
         edges: list[Edge],
         used: set[str],
     ) -> None:
-        if len(path) >= MIN_PATH_VERTICES and test_matches(to_test, g, path[-1]):
+        if len(path) >= MIN_PATH_VERTICES and path[-1] in ends:
             out.add(PathMatch(tuple(path), tuple(dirs), tuple(edges)))
         for nxt, direction, e in moves(path[-1]):
             if nxt in used:
@@ -237,7 +254,6 @@ def eval_general_path(
             dirs.pop()
             path.pop()
 
-    for vid in sorted(g.vertices):
-        if test_matches(from_test, g, vid):
-            walk([vid], [], [], {vid})
+    for vid in sorted(matching_ids(from_test, g)):
+        walk([vid], [], [], {vid})
     return out.sorted()

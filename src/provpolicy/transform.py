@@ -81,10 +81,11 @@ def expand_scope(
     if scope is Scope.ORIGINAL:
         return [Cluster(ids)]
 
+    cats = vcd.category_map(g)
     by_category: dict[str, set[str]] = {}
     singletons: list[str] = []
     for vid in sorted(ids):
-        cat = vcd.category_of(g, vid)
+        cat = cats.get(vid)
         if cat is None:
             singletons.append(vid)
         else:
@@ -108,7 +109,7 @@ def expand_scope(
                     for n in g.all_neighbors(vid):
                         if n in grown:
                             continue
-                        cat = vcd.category_of(g, n)
+                        cat = cats.get(n)
                         if cat is not None and cat.name in by_category:
                             grown.add(n)
                             nxt.add(n)
@@ -116,23 +117,17 @@ def expand_scope(
             only = next(iter(by_category)) if len(by_category) == 1 else None
             clusters.append(Cluster(frozenset(grown), only))
     else:  # Scope.EXTENSION
+        members: dict[str, set[str]] = {}
+        for vid, cat in cats.items():
+            if cat.name in by_category:
+                members.setdefault(cat.name, set()).add(vid)
         for cat in vcd.categories:
             if cat.name not in by_category:
                 continue
-            members = {
-                vid for vid in g.vertices if _in_category(vcd, g, vid, cat.name)
-            }
-            for component in _components(g, members):
+            for component in _components(g, members[cat.name]):
                 clusters.append(Cluster(frozenset(component), cat.name))
     clusters.extend(Cluster(frozenset((vid,))) for vid in singletons)
     return clusters
-
-
-def _in_category(
-    vcd: CategoryDictionary, g: ProvenanceGraph, vid: str, name: str
-) -> bool:
-    cat = vcd.category_of(g, vid)
-    return cat is not None and cat.name == name
 
 
 def _components(g: ProvenanceGraph, ids: set[str]) -> list[set[str]]:
@@ -433,9 +428,10 @@ def cluster_category(
         if cat is None:
             raise TransformError(f"cluster names unknown category {c.category!r}")
         return cat
+    cats = vcd.category_map(g)
     found: dict[str, Category] = {}
     for vid in sorted(c.vertex_ids):
-        cat = vcd.category_of(g, vid)
+        cat = cats.get(vid)
         if cat is not None:
             found[cat.name] = cat
     if len(found) == 1:

@@ -176,7 +176,7 @@ def test_all_agents_partition_is_expressible():
         [V("ag1", "Ag", "draft"), V("a1", "A", "draft"), V("p1", "P", "upload")],
         [E("p1", "a1", "used"), E("p1", "ag1", "wcb")],
     )
-    agents = Partition(frozenset({"ag1"}), ())
+    agents = Partition(frozenset({"ag1"}), g)
     assert expressible_paclp(g, agents)
     assert not expressible_lpac(g, agents)
 
@@ -196,7 +196,7 @@ def test_attribute_bounded_partition_beyond_name_enumeration():
     vertices += [V("a10", "A", "doc10"), V("x10", "Att", "date", "2017")]
     edges += [E("a10", "x10", "ha"), E("p1", "a10", "used")]
     g = G("dated", vertices, edges)
-    p = Partition(frozenset(f"a{i}" for i in range(1, 10)), ())
+    p = Partition(frozenset(f"a{i}" for i in range(1, 10)), g)
     assert expressible_paclp(g, p)
     assert not expressible_lpac(g, p)
 
@@ -207,7 +207,7 @@ def test_lpac_enum_cap():
         [V(f"a{i}", "A", f"n{i}") for i in range(1, 4)],
         [],
     )
-    p = Partition(frozenset({"a1", "a2", "a3"}), ())
+    p = Partition(frozenset({"a1", "a2", "a3"}), g)
     assert expressible_lpac(g, p)
     assert not expressible_lpac(g, p, enum_cap=2)
 

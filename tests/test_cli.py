@@ -107,8 +107,7 @@ def test_query_error_goes_to_stderr_without_json(capsys):
 
 
 def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
-    # the path engine recurses once per vertex, which this chain
-    # overflows; whatever fails, the user gets one error line
+    # one path through every vertex, deeper than Python's recursion limit
     n = 3000
     chain = {
         "id": "chain",
@@ -120,14 +119,9 @@ def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain))
     code, out, err = run(capsys, "query", "--graph", str(path), "//p2999//p0000")
-    if code == 0:
-        assert out.startswith("1 path(s)")
-    else:
-        assert code == 1
-        assert not out
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
+    assert code == 0, err
+    assert out.startswith("1 path(s)")
+    assert not err
 
 
 # ==== apply ====

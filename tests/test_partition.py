@@ -3,7 +3,7 @@ import random
 import pytest
 
 from provpolicy.errors import ExprSyntaxError
-from provpolicy.graph import VertexType
+from provpolicy.graph import VertexType, edge_sort_key, induced_edges
 from provpolicy.partition import (
     DirectedPathSpec,
     GeneralPathSpec,
@@ -22,6 +22,7 @@ from provpolicy.pathexpr import (
     TypedNameTest,
     TypeTest,
     WildcardTest,
+    matching_ids,
 )
 from provpolicy.samples import sample_graph_a, sample_graph_b, sample_graph_c
 
@@ -128,19 +129,28 @@ def test_resolve_vertices_matches_oracle(small_graphs):
 
 
 def test_resolve_vertices_every_selector_kind(small_graphs):
-    # names and ids overlap: p's name is a's id, and g's name is its own id
+    # names and ids overlap: p's name is a's id, and g's name is its own id;
+    # u is an attribute without a value, which its host carries as ""
     overlap = G(
         "overlap",
-        [V("p", "P", "a"), V("a", "A", "x"), V("g", "Ag"), V("t", "Att", "k", "v")],
-        [E("p", "a", "used"), E("p", "g", "wcb"), E("a", "t", "ha")],
+        [V("p", "P", "a"), V("a", "A", "x"), V("g", "Ag"), V("t", "Att", "k", "v"),
+         V("u", "Att", "k")],
+        [E("p", "a", "used"), E("p", "g", "wcb"), E("a", "t", "ha"), E("g", "u", "ha")],
     )
     graphs = [overlap, sample_graph_a(), sample_graph_b(), sample_graph_c(),
-              *small_graphs[:10]]
+              *small_graphs]
     for g in graphs:
         values = sorted({v.value for v in g.vertices.values() if v.value is not None})
-        selectors = [WildcardTest(), IdSetTest(frozenset(sorted(g.vertices)[::3]))]
+        selectors = [
+            WildcardTest(),
+            IdSetTest(frozenset(sorted(g.vertices)[::3])),
+            IdSetTest(frozenset({"no-such-id", *sorted(g.vertices)[:1]})),
+            IdSetTest(frozenset()),
+        ]
         selectors += [TypeTest(t) for t in VertexType]
-        selectors += [AttributeValueTest(t, x) for t in VertexType for x in values[:2]]
+        selectors += [
+            AttributeValueTest(t, x) for t in VertexType for x in ["", "no-such-value", *values]
+        ]
         for v in list(g.vertices.values())[::2]:
             selectors += [
                 NameTest((v.name,)),
@@ -149,8 +159,9 @@ def test_resolve_vertices_every_selector_kind(small_graphs):
                 *(TypedNameTest(t, (v.name, "no-such-name")) for t in VertexType),
             ]
         for sel in selectors:
-            part = resolve(g, VerticesSpec(sel))
-            assert part.vertex_ids == frozenset(oracles.oracle_vertices(g, sel)), sel
+            expected = frozenset(oracles.oracle_vertices(g, sel))
+            assert matching_ids(sel, g) == expected, sel
+            assert resolve(g, VerticesSpec(sel)).vertex_ids == expected, sel
 
 
 def test_resolve_directed_matches_oracle(small_graphs):
@@ -233,6 +244,23 @@ def test_induced_edges_stay_inside(graph_c):
     assert all(
         e.src in part.vertex_ids and e.dst in part.vertex_ids for e in part.induced
     )
+
+
+def test_induced_is_every_edge_inside_sorted(graph_c, small_graphs):
+    rng = random.Random(67)
+    specs = [parse_partition_expr("subgraphs(o1v1 // o1v3)"),
+             parse_partition_expr("vertices(*)")]
+    cases = [(graph_c, spec) for spec in specs]
+    for g in small_graphs[:15]:
+        start, end = random_node_test(rng, g), random_node_test(rng, g)
+        cases += [(g, VerticesSpec(start)), (g, DirectedPathSpec(start, (), end)),
+                  (g, GeneralPathSpec(start, end)), (g, SubgraphSpec(start, end))]
+    for g, spec in cases:
+        part = resolve(g, spec)
+        ids = part.vertex_ids
+        expected = sorted((e for e in g.edges if e.src in ids and e.dst in ids),
+                          key=edge_sort_key)
+        assert part.induced == tuple(expected) == induced_edges(g, ids)
 
 
 def test_empty_partition_flag(graph_a):

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from provpolicy.errors import PolicyParseError
 from provpolicy.graph import EdgeLabel, VertexType
 from provpolicy.partition import SubgraphSpec, VerticesSpec
-from provpolicy.pathexpr import NameTest, TypedNameTest
+from provpolicy.pathexpr import NameTest, TypedNameTest, node_test_to_text
 from provpolicy.policy import (
     AccessRequest,
     AttributePredicate,
@@ -31,6 +33,8 @@ from provpolicy.samples import (
     sample_policy,
     sample_policy_xml,
 )
+
+from util import random_node_test
 
 U = EdgeLabel.USED
 WGB = EdgeLabel.WAS_GENERATED_BY
@@ -252,6 +256,52 @@ def test_vcd_category_of_first_match(graph_c):
 def test_vcd_sample_membership(graph_c, vcd):
     assert vcd.category_of(graph_c, "o3v1").name == "Grading"
     assert vcd.category_of(graph_c, "submit1").name == "Submission"
+
+
+def test_category_map_equals_first_match_scan(graph_c, vcd, small_graphs):
+    # grade2 is a member of both categories; the first one wins
+    both = parse_vcd(
+        {
+            "categories": [
+                {"name": "First", "label": "F", "members": ["grade2", "AttV_A(G, 'v')"]},
+                {"name": "Second", "label": "S", "members": ["TypedV_P(G)"]},
+            ]
+        }
+    )
+    assert both.category_map(graph_c)["grade2"].name == "First"
+    assert both.category_map(graph_c)["submit1"].name == "Second"
+    rng = random.Random(71)
+    cases = [(graph_c, both), (graph_c, vcd)]
+    for g in small_graphs[:20]:
+        doc = {"categories": [
+            {"name": f"C{i}", "label": f"c{i}",
+             "members": [node_test_to_text(random_node_test(rng, g))
+                         for _ in range(rng.randint(0, 2))]}
+            for i in range(3)
+        ]}
+        cases.append((g, parse_vcd(doc)))
+    for g, cd in cases:
+        cats = cd.category_map(g)
+        assert set(cats) <= set(g.vertices)
+        for vid in g.vertices:
+            assert cats.get(vid) == cd.category_of(g, vid), vid
+
+
+def test_category_maps_are_kept_per_dictionary(graph_c):
+    first = parse_vcd({"categories": [{"name": "F", "label": "f", "members": ["grade2"]}]})
+    second = parse_vcd(
+        {"categories": [{"name": "S", "label": "s", "members": ["TypedV_P(G)"]}]}
+    )
+    a = first.category_map(graph_c)
+    b = second.category_map(graph_c)
+    assert a == {"grade2": first.categories[0]}
+    assert b == {
+        vid: second.categories[0]
+        for vid, v in graph_c.vertices.items() if v.vtype is VertexType.PROCESS
+    }
+    # each dictionary reads back its own map, built once
+    assert first.category_map(graph_c) is a
+    assert second.category_map(graph_c) is b
 
 
 def test_vcd_errors():

@@ -1,6 +1,6 @@
 """Property test: every graph a remove or replace step derives from its
 parent's indexes equals the graph built afresh from its vertices and
-edges, index for index."""
+edges, index and lookup for index and lookup."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,10 +18,18 @@ GRAPHS = gen_graphs(
     GenConfig(graphs=12, processes=5, artifacts=6, agents=2, attributes=3, seed=29)
 )
 EMT = sample_merge_table()
+# replace steps name "Picked"; the other categories give the category
+# lookup something to find
 VCD = parse_vcd(
-    {"categories": [{"name": "Picked", "label": "Collapsed",
-                     "replacement_type": "process", "members": []}]}
+    {"categories": [
+        {"name": "Picked", "label": "Collapsed", "replacement_type": "process",
+         "members": []},
+        {"name": "Typed", "label": "t", "members": ["TypedV_P(G)", "AttV_A(G, '2016')"]},
+        {"name": "Valued", "label": "v", "members": ["AttV_Att(G, '2016')", "AttV_P(G, '2017')"]},
+    ]}
 )
+VALUES = sorted({v.value or "" for g in GRAPHS for v in g.vertices.values()
+                 if v.vtype is VertexType.ATTRIBUTE} | {""})
 
 
 def assert_same_as_fresh(g: ProvenanceGraph) -> None:
@@ -35,6 +43,11 @@ def assert_same_as_fresh(g: ProvenanceGraph) -> None:
         assert g.all_neighbors(vid) == fresh.all_neighbors(vid)
         v = g.vertices[vid]
         assert g.ids_named(v.name) == fresh.ids_named(v.name)
+    for t in VertexType:
+        assert g.ids_of_type(t) == fresh.ids_of_type(t)
+        for value in VALUES:
+            assert g.ids_with_value(t, value) == fresh.ids_with_value(t, value)
+    assert VCD.category_map(g) == VCD.category_map(fresh)
     assert g.start_vertices() == fresh.start_vertices()
     assert g.end_vertices() == fresh.end_vertices()
     assert validate_graph(g, allow_was_caused_by=True) == []
@@ -61,6 +74,8 @@ def collapse_closes_cycle(g: ProvenanceGraph, cluster: frozenset[str]) -> bool:
 @given(st.data())
 def test_successor_graphs_equal_a_fresh_build(data):
     g = data.draw(st.sampled_from(GRAPHS))
+    # a successor must not inherit the lookups its parent has built
+    assert_same_as_fresh(g)
     for _ in range(data.draw(st.integers(1, 5))):
         if not g.vertices:
             break

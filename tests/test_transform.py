@@ -34,8 +34,8 @@ WTB = EdgeLabel.WAS_TRIGGERED_BY
 WCSD = EdgeLabel.WAS_CAUSED_BY
 
 
-def part_of(*ids):
-    return Partition(frozenset(ids), ())
+def part_of(g, *ids):
+    return Partition(frozenset(ids), g)
 
 
 def chain_graph():
@@ -57,12 +57,12 @@ def test_scope_original_is_identity(graph_c, vcd):
 
 
 def test_scope_empty_base(graph_c, vcd):
-    assert expand_scope(graph_c, part_of(), Scope.ORIGINAL, vcd) == []
+    assert expand_scope(graph_c, part_of(graph_c), Scope.ORIGINAL, vcd) == []
 
 
 def test_scope_unknown_vertex(graph_c, vcd):
     with pytest.raises(UnknownVertexError):
-        expand_scope(graph_c, part_of("ghost"), Scope.ORIGINAL, vcd)
+        expand_scope(graph_c, part_of(graph_c, "ghost"), Scope.ORIGINAL, vcd)
 
 
 def test_scope_conjunction_matches_oracle(graph_c, vcd):
@@ -91,7 +91,7 @@ def test_scope_conjunction_random_graphs(small_graphs):
             {"categories": [{"name": "C", "label": "c", "members": members}]}
         )
         seed = rng.choice(sorted(g.vertices))
-        base = part_of(seed)
+        base = part_of(g, seed)
         clusters = expand_scope(g, base, Scope.CONJUNCTION, vcd)
         got = frozenset().union(*(c.vertex_ids for c in clusters))
 
