@@ -144,7 +144,7 @@ class ProvenanceGraph:
     """An immutable provenance graph with prebuilt adjacency indexes."""
 
     __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names",
-                 "_types", "_values", "_categories", "_valid", "_derived")
+                 "_types", "_values", "_categories", "_neighbors", "_valid", "_derived")
 
     def __init__(self, graph_id: str, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         self.id = graph_id
@@ -156,11 +156,13 @@ class ProvenanceGraph:
         self.vertices: dict[str, Vertex] = vs
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
         # lookups built on first use: by name or id, by type, by (type,
-        # attribute value), and one vertex -> category map per dictionary
+        # attribute value), one vertex -> category map per dictionary, and
+        # each vertex's neighbours over every edge
         self._names: dict[str, frozenset[str]] | None = None
         self._types: dict[VertexType, frozenset[str]] | None = None
         self._values: dict[tuple[VertexType, str], frozenset[str]] | None = None
         self._categories: dict[Any, dict[str, Any]] | None = None
+        self._neighbors: dict[str, frozenset[str]] | None = None
         # whether validate_graph(self, allow_was_caused_by=True) is empty,
         # once a check has found out
         self._valid: bool | None = None
@@ -206,7 +208,7 @@ class ProvenanceGraph:
         g.id = self.id
         g.vertices = vs = self.vertices.copy()
         g._edges = es = self._edges.copy()
-        g._names = g._types = g._values = g._categories = None
+        g._names = g._types = g._values = g._categories = g._neighbors = None
         g._valid = None
         if self._derived is None:
             g._derived = (self, add_vertices, add_edges)
@@ -398,12 +400,21 @@ class ProvenanceGraph:
         ids.update(e.src for e in self._in.get(vid, ()))
         return ids
 
-    def all_neighbors(self, vid: str) -> set[str]:
-        """Neighbors over every edge, attribute attachments included."""
-        ids = self.undirected_neighbors(vid)
-        ids.update(e.dst for e in self._ha_out.get(vid, ()))
-        ids.update(e.src for e in self._ha_in.get(vid, ()))
-        return ids
+    def all_neighbors(self, vid: str) -> frozenset[str]:
+        """Neighbors over every edge, attribute attachments included. The
+        neighbour map is built on the first call."""
+        if self._neighbors is None:
+            nbs: dict[str, set[str]] = {v: set() for v in self.vertices}
+            for table in (self._out, self._ha_out):
+                for src, edges in table.items():
+                    for e in edges:
+                        nbs[src].add(e.dst)
+                        nbs[e.dst].add(src)
+            self._neighbors = {v: frozenset(ids) for v, ids in nbs.items()}
+        try:
+            return self._neighbors[vid]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex id {vid!r} in graph {self.id!r}") from None
 
     def attribute_edges(self, vid: str) -> tuple[Edge, ...]:
         """hasAttributes edges leaving ``vid`` for its attribute vertices."""

@@ -129,7 +129,7 @@ def resolve_subgraph(
     core |= matching_ids(start_test, g) & matching_ids(end_test, g)
 
     hull = set(core)
-    for vid in sorted(core):
+    for vid in core:
         for n in g.all_neighbors(vid):
             if g.vertices[n].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
                 hull.add(n)

@@ -14,7 +14,8 @@ non-attribute edges and return canonically sorted, deduplicated matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
 from .errors import PathLimitError, QueryError
 from .graph import Direction, Edge, ProvenanceGraph
@@ -156,7 +157,53 @@ def eval_query(
     return out.sorted()
 
 
-# ==== directed paths ====
+# ==== directed and general paths ====
+
+#: One hop of a path walk: the vertex reached, the direction taken and
+#: the stored edge crossed.
+Move = tuple[str, Direction, Edge]
+
+
+def _walk_paths(
+    starts: list[str],
+    moves: Callable[[str], list[Move]],
+    ends: frozenset[str],
+    out: _Collector,
+    accept: Callable[[list[str]], bool] | None = None,
+) -> None:
+    """Record every simple path from a start, of at least three vertices,
+    that ends in ``ends`` and passes ``accept``. Depth first with an
+    explicit stack, one iterator over ``moves(vid)`` per vertex on the
+    current path."""
+    for start in starts:
+        path: list[str] = [start]
+        dirs: list[Direction] = []
+        edges: list[Edge] = []
+        used = {start}
+        stack = [iter(moves(start))]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if stack:
+                    used.discard(path.pop())
+                    dirs.pop()
+                    edges.pop()
+                continue
+            nxt, direction, e = move
+            if nxt in used:
+                continue
+            path.append(nxt)
+            dirs.append(direction)
+            edges.append(e)
+            used.add(nxt)
+            if (
+                len(path) >= MIN_PATH_VERTICES
+                and nxt in ends
+                and (accept is None or accept(path))
+            ):
+                out.add(PathMatch(tuple(path), tuple(dirs), tuple(edges)))
+            stack.append(iter(moves(nxt)))
 
 
 def eval_directed_path(
@@ -169,47 +216,54 @@ def eval_directed_path(
 ) -> list[PathMatch]:
     """Chronological paths from a from-match to a to-match using cause
     steps only, passing through each via test in order (strictly between
-    the endpoints). Matches shorter than three vertices are discarded."""
+    the endpoints). Matches shorter than three vertices are discarded.
+
+    The walk enters only vertices that lie on some cause-step walk from a
+    from-match to a to-match (reach from the starts intersected with
+    co-reach from the ends); every vertex of a matching path is one."""
     out = _Collector(max_paths)
+    starts = matching_ids(from_test, g)
     ends = matching_ids(to_test, g)
     via_hits = [matching_ids(test, g) for test in via]
 
-    def vias_satisfied(interior: list[str]) -> bool:
-        pos = 0
+    # ahead: reached by cause steps from a start; live: the part of it
+    # that reaches an end
+    ahead = set(starts)
+    stack = list(ahead)
+    while stack:
+        for e in g.cause_edges(stack.pop()):
+            if e.src not in ahead:
+                ahead.add(e.src)
+                stack.append(e.src)
+    live = ahead & ends
+    stack = list(live)
+    while stack:
+        for e in g.effect_edges(stack.pop()):
+            if e.dst in ahead and e.dst not in live:
+                live.add(e.dst)
+                stack.append(e.dst)
+    moves = {
+        vid: [
+            (e.src, Direction.CAUSE, e)
+            for e in _first_edge_per_target(g.cause_edges(vid), by_dst=False)
+            if e.src in live
+        ]
+        for vid in live
+    }
+
+    def vias_satisfied(path: list[str]) -> bool:
+        pos, last = 1, len(path) - 1  # the interior, endpoints excluded
         for hits in via_hits:
-            while pos < len(interior) and interior[pos] not in hits:
+            while pos < last and path[pos] not in hits:
                 pos += 1
-            if pos == len(interior):
+            if pos == last:
                 return False
             pos += 1
         return True
 
-    def walk(path: list[str], edges: list[Edge], used: set[str]) -> None:
-        if (
-            len(path) >= MIN_PATH_VERTICES
-            and path[-1] in ends
-            and vias_satisfied(path[1:-1])
-        ):
-            out.add(
-                PathMatch(tuple(path), (Direction.CAUSE,) * len(edges), tuple(edges))
-            )
-        for e in _first_edge_per_target(g.cause_edges(path[-1]), by_dst=False):
-            if e.src in used:
-                continue
-            path.append(e.src)
-            edges.append(e)
-            used.add(e.src)
-            walk(path, edges, used)
-            used.discard(e.src)
-            edges.pop()
-            path.pop()
-
-    for vid in sorted(matching_ids(from_test, g)):
-        walk([vid], [], {vid})
+    _walk_paths(sorted(starts & live), moves.__getitem__, ends, out,
+                vias_satisfied if via_hits else None)
     return out.sorted()
-
-
-# ==== general paths ====
 
 
 def eval_general_path(
@@ -223,37 +277,15 @@ def eval_general_path(
     a cause or an effect step; the direction taken is recorded per hop.
     Matches shorter than three vertices are discarded."""
     out = _Collector(max_paths)
-    ends = matching_ids(to_test, g)
 
-    def moves(vid: str) -> list[tuple[str, Direction, Edge]]:
-        found: dict[str, tuple[str, Direction, Edge]] = {}
+    @cache
+    def moves(vid: str) -> list[Move]:
+        found: dict[str, Move] = {}
         for e in g.cause_edges(vid):  # stored edge (u, vid): cause step vid -> u
             found.setdefault(e.src, (e.src, Direction.CAUSE, e))
         for e in g.effect_edges(vid):
             found.setdefault(e.dst, (e.dst, Direction.EFFECT, e))
         return [found[k] for k in sorted(found)]
 
-    def walk(
-        path: list[str],
-        dirs: list[Direction],
-        edges: list[Edge],
-        used: set[str],
-    ) -> None:
-        if len(path) >= MIN_PATH_VERTICES and path[-1] in ends:
-            out.add(PathMatch(tuple(path), tuple(dirs), tuple(edges)))
-        for nxt, direction, e in moves(path[-1]):
-            if nxt in used:
-                continue
-            path.append(nxt)
-            dirs.append(direction)
-            edges.append(e)
-            used.add(nxt)
-            walk(path, dirs, edges, used)
-            used.discard(nxt)
-            edges.pop()
-            dirs.pop()
-            path.pop()
-
-    for vid in sorted(matching_ids(from_test, g)):
-        walk([vid], [], [], {vid})
+    _walk_paths(sorted(matching_ids(from_test, g)), moves, matching_ids(to_test, g), out)
     return out.sorted()

@@ -76,8 +76,9 @@ def expand_scope(
     ids = base.vertex_ids
     if not ids:
         return []
-    for vid in ids:
-        g.vertex(vid)
+    if not ids <= g.vertices.keys():
+        for vid in ids:
+            g.vertex(vid)  # raises for the first missing id
     if scope is Scope.ORIGINAL:
         return [Cluster(ids)]
 
@@ -102,7 +103,7 @@ def expand_scope(
     if scope is Scope.CONJUNCTION:
         if by_category:
             grown = set().union(*by_category.values())
-            frontier = sorted(grown)
+            frontier = list(grown)
             while frontier:
                 nxt: set[str] = set()
                 for vid in frontier:
@@ -113,7 +114,7 @@ def expand_scope(
                         if cat is not None and cat.name in by_category:
                             grown.add(n)
                             nxt.add(n)
-                frontier = sorted(nxt)
+                frontier = list(nxt)
             only = next(iter(by_category)) if len(by_category) == 1 else None
             clusters.append(Cluster(frozenset(grown), only))
     else:  # Scope.EXTENSION

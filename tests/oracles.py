@@ -42,9 +42,11 @@ WCSD_TRIPLES = {
 
 
 def triple_is_legal(g: ProvenanceGraph, e: Edge, *, allow_wcsd: bool = False) -> bool:
-    src = g.vertices[e.src].vtype.value
-    dst = g.vertices[e.dst].vtype.value
-    triple = (src, dst, e.label.value)
+    # _value_ is the plain attribute behind the .value property; it is read
+    # for every edge of every checked view, and the property costs more
+    # than the rest of the check (as would hashing enum members)
+    vs = g.vertices
+    triple = (vs[e.src].vtype._value_, vs[e.dst].vtype._value_, e.label._value_)
     if triple in LEGAL_TRIPLES:
         return True
     return allow_wcsd and triple in WCSD_TRIPLES
@@ -74,11 +76,14 @@ def _stored_map(g: ProvenanceGraph, *, forward: bool) -> dict[str, list[str]]:
     list in one pass: the sources of the edges entering it when
     ``forward``, else the targets of the edges leaving it."""
     adj: dict[str, list[str]] = {}
-    for e in g.edges:
-        if e.label is not EdgeLabel.HAS_ATTRIBUTES:
-            if forward:
+    ha = EdgeLabel.HAS_ATTRIBUTES
+    if forward:
+        for e in g.edges:
+            if e.label is not ha:
                 adj.setdefault(e.dst, []).append(e.src)
-            else:
+    else:
+        for e in g.edges:
+            if e.label is not ha:
                 adj.setdefault(e.src, []).append(e.dst)
     return adj
 

@@ -106,9 +106,9 @@ def test_query_error_goes_to_stderr_without_json(capsys):
     assert err.startswith("error:")
 
 
-def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
-    # one path through every vertex, deeper than Python's recursion limit
-    n = 3000
+def write_long_chain(tmp_path, n=3000):
+    """A wasTriggeredBy chain p0000 <- p0001 <- ...: one path through every
+    vertex, deeper than Python's recursion limit."""
     chain = {
         "id": "chain",
         "vertices": [{"id": f"p{i:04d}", "type": "process", "name": f"p{i:04d}"}
@@ -118,10 +118,25 @@ def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
     }
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain))
+    return path
+
+
+def test_query_on_a_long_chain_ends_without_a_traceback(capsys, tmp_path):
+    path = write_long_chain(tmp_path)
     code, out, err = run(capsys, "query", "--graph", str(path), "//p2999//p0000")
     assert code == 0, err
     assert out.startswith("1 path(s)")
     assert not err
+
+
+def test_path_partitions_on_a_long_chain(capsys, tmp_path):
+    path = write_long_chain(tmp_path)
+    for expr in ("directed(p0000 // p2999)", "general(p0000 // p2999)",
+                 "subgraphs(START // END)"):
+        code, out, err = run(capsys, "query", "--graph", str(path), expr)
+        assert code == 0, (expr, err)
+        assert out.startswith("partition: 3000 vertices, 2999 edges"), expr
+        assert not err
 
 
 # ==== apply ====

@@ -45,6 +45,22 @@ def test_edge_label_values():
     }
 
 
+def test_oracle_triples_match_literal_table():
+    # the oracle reads each member's value without the .value property
+    g = G("one", [V(t.value, code) for t, code in
+                  ((VertexType.AGENT, "Ag"), (VertexType.ARTIFACT, "A"),
+                   (VertexType.PROCESS, "P"), (VertexType.ATTRIBUTE, "Att"))], [])
+    for src in VertexType:
+        for dst in VertexType:
+            for label in EdgeLabel:
+                triple = (src.value, dst.value, label.value)
+                e = Edge(src.value, dst.value, label)
+                assert oracles.triple_is_legal(g, e) is (triple in oracles.LEGAL_TRIPLES)
+                assert oracles.triple_is_legal(g, e, allow_wcsd=True) is (
+                    triple in oracles.LEGAL_TRIPLES or triple in oracles.WCSD_TRIPLES
+                )
+
+
 def test_edge_schema_matches_literal_table():
     for src in VertexType:
         for dst in VertexType:
@@ -128,6 +144,26 @@ def test_attribute_pairs(graph_b):
 def test_undirected_neighbors_exclude_attributes(graph_b):
     assert "att-review1" not in graph_b.undirected_neighbors("review1")
     assert "att-review1" in graph_b.all_neighbors("review1")
+
+
+def test_neighbour_map_matches_edge_scan(small_graphs):
+    rng = random.Random(41)
+    graphs = list(small_graphs[:20])
+    graphs += [corrupt_graph(rng, g) for g in small_graphs[:20]]  # dangling edges, self-loops
+    for g in graphs:
+        for vid in g.vertices:
+            scan = {
+                other
+                for e in g.edges
+                if e.src in g.vertices and e.dst in g.vertices
+                for mine, other in ((e.src, e.dst), (e.dst, e.src))
+                if mine == vid
+            }
+            got = g.all_neighbors(vid)
+            assert isinstance(got, frozenset)
+            assert got == scan, (g.id, vid)
+    with pytest.raises(UnknownVertexError, match="unknown vertex id 'ghost' in graph"):
+        graphs[0].all_neighbors("ghost")
 
 
 def test_induced_edges_membership(graph_a):

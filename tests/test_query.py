@@ -13,7 +13,7 @@ from provpolicy.query import (
 )
 
 import oracles
-from util import E, G, V, random_node_test, random_path_expr
+from util import E, G, V, corrupt_graph, random_node_test, random_path_expr
 
 
 # ==== the worked examples ====
@@ -170,3 +170,78 @@ def test_general_matches_oracle(small_graphs):
                 for m in eval_general_path(g, start, end)
             }
             assert got == oracles.oracle_general(g, start, end)
+
+
+def with_dead_ends(rng: random.Random, g):
+    """``g`` plus short chains hanging off random vertices that lead
+    forward in time to nothing else, so a directed walk can enter
+    branches that reach no end."""
+    vertices = list(g.vertices.values())
+    edges = list(g.edges)
+    roots = sorted(vid for vid, v in g.vertices.items()
+                   if v.vtype in (VertexType.PROCESS, VertexType.ARTIFACT))
+    for i in range(2):
+        root = g.vertices[rng.choice(roots)]
+        # an artifact generated by a process, or a process using an artifact
+        if root.vtype is VertexType.PROCESS:
+            first, label = V(f"dead{i}a", "A", "draft"), "wgb"
+        else:
+            first, label = V(f"dead{i}a", "P", "review"), "used"
+        second = V(f"dead{i}b", "P" if first.vtype is VertexType.ARTIFACT else "A", "sign")
+        vertices += [first, second]
+        edges += [E(first.id, root.id, label),
+                  E(second.id, first.id, "used" if second.vtype is VertexType.PROCESS else "wgb")]
+    return G(g.id + "-dead", vertices, edges)
+
+
+def cyclic_variants(rng: random.Random, graphs):
+    """``corrupt_graph`` copies of ``graphs`` that have a cycle."""
+    out = []
+    for g in graphs:
+        for _ in range(8):
+            broken = corrupt_graph(rng, g)
+            if oracles.has_cycle(broken):
+                out.append(broken)
+                break
+    return out
+
+
+def test_path_engines_match_oracles_on_dead_ends_and_cycles(small_graphs):
+    rng = random.Random(37)
+    dead = [with_dead_ends(rng, g) for g in small_graphs[:8]]
+    cyclic = cyclic_variants(rng, small_graphs[10:22])
+    assert len(cyclic) >= 8
+    for g in dead + cyclic:
+        for _ in range(3):
+            start = random_node_test(rng, g)
+            end = random_node_test(rng, g)
+            vias = tuple(random_node_test(rng, g) for _ in range(rng.randint(0, 2)))
+            got = {m.vertices for m in eval_directed_path(g, start, end, via=vias)}
+            assert got == oracles.oracle_directed(g, start, end, vias), g.id
+            # the engine takes one step per neighbour, a cause step where a
+            # cycle joins two vertices both ways, so it reports each vertex
+            # sequence once, with one of the oracle's direction lists
+            want: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+            for seq, dirs in oracles.oracle_general(g, start, end):
+                want.setdefault(seq, set()).add(dirs)
+            got_general = eval_general_path(g, start, end)
+            assert {m.vertices for m in got_general} == set(want), g.id
+            for m in got_general:
+                assert tuple(d.value for d in m.directions) in want[m.vertices]
+
+
+def test_directed_paths_beside_a_dead_end_branch():
+    # a -> p1 -> b reaches the end; a -> p2 -> c and everything after c do not
+    g = G(
+        "dead-end",
+        [V("a", "A"), V("p1", "P"), V("b", "A"), V("p2", "P"), V("c", "A"),
+         V("p3", "P"), V("d", "A")],
+        [E("p1", "a", "used"), E("b", "p1", "wgb"), E("p2", "a", "used"),
+         E("c", "p2", "wgb"), E("p3", "c", "used"), E("d", "p3", "wgb")],
+    )
+    paths = eval_directed_path(g, NameTest(("a",)), NameTest(("b",)))
+    assert [m.vertices for m in paths] == [("a", "p1", "b")]
+    assert [m.directions for m in paths] == [(Direction.CAUSE, Direction.CAUSE)]
+    assert [[(e.src, e.dst) for e in m.edges] for m in paths] == [[("p1", "a"), ("b", "p1")]]
+    assert eval_directed_path(g, NameTest(("a",)), NameTest(("b", "d"))) == [
+        *paths, *eval_directed_path(g, NameTest(("a",)), NameTest(("d",)))]

@@ -61,8 +61,10 @@ def test_scope_empty_base(graph_c, vcd):
 
 
 def test_scope_unknown_vertex(graph_c, vcd):
-    with pytest.raises(UnknownVertexError):
-        expand_scope(graph_c, part_of(graph_c, "ghost"), Scope.ORIGINAL, vcd)
+    for scope in Scope:
+        with pytest.raises(UnknownVertexError,
+                           match="^unknown vertex id 'ghost' in graph 'sample-c'$"):
+            expand_scope(graph_c, part_of(graph_c, "o3v1", "ghost", "submit1"), scope, vcd)
 
 
 def test_scope_conjunction_matches_oracle(graph_c, vcd):
