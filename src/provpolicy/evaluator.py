@@ -84,12 +84,13 @@ def combine_effects(
     """Winning effect per vertex: the strongest effect of any covering
     policy, permit for vertices in no coverage set."""
     out: dict[str, Effect] = dict.fromkeys(vertices, Effect.PERMIT)
-    ranks: dict[str, int] = {}  # of the covered vertices; permit ranks 0
     for effect, ids in per_policy:
-        rank = effect.rank
+        if effect is Effect.PERMIT:
+            continue  # a permit never beats the default
+        # deny and absolute permit both beat permit, and only an
+        # absolute permit beats deny
         for vid in ids:
-            if rank > ranks.get(vid, 0):
-                ranks[vid] = rank
+            if out.get(vid) is not Effect.ABSOLUTE_PERMIT:
                 out[vid] = effect
     return out
 
@@ -131,14 +132,15 @@ def evaluate(
                 rows.append((ti, t, c))
         clusters_of[p.id] = rows
 
+    # a permit policy's coverage changes no effect, and only a deny or
+    # absolute-permit policy can make a vertex hidden or protected
     coverage = [
         (p.effect, set().union(*(c.vertex_ids for _, _, c in clusters_of[p.id])))
         for p in apps
+        if p.effect is not Effect.PERMIT
     ]
     effects = combine_effects(coverage, g.vertices)
-    # only a deny or absolute-permit policy can make a vertex hidden or
-    # protected
-    covered = set().union(*(ids for e, ids in coverage if e is not Effect.PERMIT))
+    covered = set().union(*(ids for _, ids in coverage))
     protected = {vid for vid in covered if effects[vid] is Effect.ABSOLUTE_PERMIT}
     hidden = {vid for vid in covered if effects[vid] is Effect.DENY}
 

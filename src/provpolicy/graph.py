@@ -156,12 +156,13 @@ class ProvenanceGraph:
         self.vertices: dict[str, Vertex] = vs
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
         # lookups built on first use: by name or id, by type, by (type,
-        # attribute value), one vertex -> category map per dictionary, and
-        # each vertex's neighbours over every edge
+        # attribute value), per dictionary a vertex -> category map and
+        # each category's components, and each vertex's neighbours over
+        # every edge
         self._names: dict[str, frozenset[str]] | None = None
         self._types: dict[VertexType, frozenset[str]] | None = None
         self._values: dict[tuple[VertexType, str], frozenset[str]] | None = None
-        self._categories: dict[Any, dict[str, Any]] | None = None
+        self._categories: dict[Any, tuple[dict[str, Any], dict[str, Any]]] | None = None
         self._neighbors: dict[str, frozenset[str]] | None = None
         # whether validate_graph(self, allow_was_caused_by=True) is empty,
         # once a check has found out

@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any
 
 from .errors import ExprSyntaxError, PolicyParseError
 from .graph import EDGE_SCHEMA, EdgeLabel, ProvenanceGraph, VertexType, edge_is_legal
@@ -400,18 +401,27 @@ class CategoryDictionary:
         document order. Built on the first call for each (graph,
         dictionary) pair and kept on the graph; callers must not change
         it."""
-        maps = g._categories
-        if maps is None:
-            maps = g._categories = {}
-        found = maps.get(self)
-        if found is None:
-            found = {}
+        return self._cache_entry(g)[0]
+
+    def _cache_entry(
+        self, g: ProvenanceGraph
+    ) -> tuple[dict[str, Category], dict[str, Any]]:
+        """This dictionary's entry on ``g``: its ``category_map`` and a
+        dict, empty at first, in which scope expansion keeps what it
+        derives from that map. The entry lives as long as the graph, and
+        a successor graph starts without it."""
+        entries = g._categories
+        if entries is None:
+            entries = g._categories = {}
+        entry = entries.get(self)
+        if entry is None:
+            found: dict[str, Category] = {}
             for c in self.categories:
                 for t in c.members:
                     for vid in matching_ids(t, g):
                         found.setdefault(vid, c)
-            maps[self] = found
-        return found
+            entry = entries[self] = (found, {})
+        return entry
 
 
 def parse_vcd(doc: str | bytes | Mapping) -> CategoryDictionary:

@@ -82,7 +82,7 @@ def expand_scope(
     if scope is Scope.ORIGINAL:
         return [Cluster(ids)]
 
-    cats = vcd.category_map(g)
+    cats, cache = vcd._cache_entry(g)
     by_category: dict[str, set[str]] = {}
     singletons: list[str] = []
     for vid in sorted(ids):
@@ -118,15 +118,22 @@ def expand_scope(
             only = next(iter(by_category)) if len(by_category) == 1 else None
             clusters.append(Cluster(frozenset(grown), only))
     else:  # Scope.EXTENSION
-        members: dict[str, set[str]] = {}
-        for vid, cat in cats.items():
-            if cat.name in by_category:
-                members.setdefault(cat.name, set()).add(vid)
+        # a category's components depend only on the graph and the
+        # dictionary, so each is built once and kept in the dictionary's
+        # entry on the graph
+        missing: dict[str, set[str]] = {
+            name: set() for name in by_category if name not in cache
+        }
+        if missing:
+            for vid, cat in cats.items():
+                if cat.name in missing:
+                    missing[cat.name].add(vid)
+            for name, members in missing.items():
+                cache[name] = [Cluster(frozenset(comp), name)
+                               for comp in _components(g, members)]
         for cat in vcd.categories:
-            if cat.name not in by_category:
-                continue
-            for component in _components(g, members[cat.name]):
-                clusters.append(Cluster(frozenset(component), cat.name))
+            if cat.name in by_category:
+                clusters.extend(cache[cat.name])
     clusters.extend(Cluster(frozenset((vid,))) for vid in singletons)
     return clusters
 

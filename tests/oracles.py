@@ -396,6 +396,23 @@ def naive_same_category_components(
     return comps
 
 
+# ==== effect combination ====
+
+
+def naive_combine(rows, vertices) -> dict:
+    """Per vertex, the highest-ranked effect of any row naming it; every
+    one of ``vertices`` starts at permit, and an id outside them enters
+    the result when a row first ranks it above permit."""
+    from provpolicy.policy import Effect
+
+    out = {vid: Effect.PERMIT for vid in vertices}
+    for effect, ids in rows:
+        for vid in ids:
+            if effect.rank > out.get(vid, Effect.PERMIT).rank:
+                out[vid] = effect
+    return out
+
+
 # ==== expressiveness (bounded brute force over the partition grammar) ====
 
 

@@ -184,18 +184,9 @@ def test_c4_engines_match_bruteforce():
             )
             for _ in range(rng.randint(0, 4))
         ]
-        assert combine_effects(rows, ids) == naive_combine(rows, ids)
+        assert combine_effects(rows, ids) == oracles.naive_combine(rows, ids)
 
     assert time.perf_counter() - started < 60.0
-
-
-def naive_combine(rows, vertices):
-    out = {vid: Effect.PERMIT for vid in vertices}
-    for effect, ids in rows:
-        for vid in ids:
-            if effect.rank > out.get(vid, Effect.PERMIT).rank:
-                out[vid] = effect
-    return out
 
 
 def test_c5_transformation_invariants():
@@ -329,20 +320,21 @@ def test_c7_expressiveness_dominance():
 
 def test_c8_timing_scaling():
     g = gen_graphs(GenConfig(graphs=1, seed=0))[0]
-    rows = run_combination(g, sizes=(5, 10, 15, 20), repetitions=5, seed=0)
+    rows = run_combination(g, sizes=(5, 10, 15, 20), repetitions=9, seed=0)
     assert len(rows) == 12
     by_scenario = {}
     for row in rows:
         assert row["mean_ns"] > 0 and row["median_ns"] > 0
         by_scenario.setdefault(row["scenario"], []).append(
-            (row["policy_count"], row["mean_ns"])
+            (row["policy_count"], row["median_ns"])
         )
     assert sorted(by_scenario) == ["absolute-permit", "deny", "mixed"]
     for scenario, series in by_scenario.items():
         counts = [n for n, _ in series]
         assert counts == [5, 10, 15, 20]
-        means = [m for _, m in series]
+        medians = [m for _, m in series]
         # larger policy sets may not time strictly higher, but the curve
-        # must not collapse: tolerate a 3x noise band
-        for prev, nxt in zip(means, means[1:]):
-            assert nxt * 3 >= prev, (scenario, means)
+        # must not collapse: tolerate a 3x noise band. Medians, since one
+        # call slowed by another process moves a mean across the band
+        for prev, nxt in zip(medians, medians[1:]):
+            assert nxt * 3 >= prev, (scenario, medians)

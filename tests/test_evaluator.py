@@ -26,6 +26,7 @@ from provpolicy.policy import (
 )
 from provpolicy.samples import sample_policy
 
+import oracles
 from util import E, G, V
 
 
@@ -80,6 +81,23 @@ def test_combine_effects_order_independent():
     ]
     for perm in itertools.permutations(rows):
         assert combine_effects(perm)["a"] is Effect.ABSOLUTE_PERMIT
+
+
+def test_combine_effects_matches_naive_in_key_order():
+    rng = random.Random(83)
+    outside = ["x0", "x1", "x2"]
+    for _ in range(300):
+        vertices = rng.sample([f"v{i}" for i in range(10)], rng.randint(0, 10))
+        pool = vertices + outside
+        rows = [
+            (rng.choice(list(Effect)), rng.sample(pool, rng.randint(0, len(pool))))
+            for _ in range(rng.randint(0, 5))
+        ]
+        got = combine_effects(rows, vertices)
+        assert list(got.items()) == list(oracles.naive_combine(rows, vertices).items())
+        # an id outside ``vertices`` that only permits name adds no key
+        denied = {vid for effect, ids in rows if effect is not Effect.PERMIT for vid in ids}
+        assert got.keys() <= set(vertices) | denied
 
 
 # ==== request guards ====

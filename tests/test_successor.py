@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from provpolicy.bench import GenConfig, gen_graphs
 from provpolicy.errors import TransformError
 from provpolicy.graph import Edge, EdgeLabel, ProvenanceGraph, Vertex, VertexType, validate_graph
-from provpolicy.policy import DependencyLabel, parse_vcd
+from provpolicy.partition import Partition
+from provpolicy.policy import DependencyLabel, Scope, parse_vcd
 from provpolicy.samples import sample_merge_table
-from provpolicy.transform import Cluster, apply_remove, apply_replace
+from provpolicy.transform import Cluster, apply_remove, apply_replace, expand_scope
 
 import oracles
 
@@ -47,6 +48,13 @@ def assert_same_as_fresh(g: ProvenanceGraph) -> None:
         assert g.ids_of_type(t) == fresh.ids_of_type(t)
         for value in VALUES:
             assert g.ids_with_value(t, value) == fresh.ids_with_value(t, value)
+    # the components extension scope keeps per graph are the fresh graph's
+    for cat in VCD.categories:
+        members = sorted(vid for vid, c in VCD.category_map(fresh).items() if c is cat)
+        if members:
+            base = frozenset(members[:1])
+            assert (expand_scope(g, Partition(base, g), Scope.EXTENSION, VCD)
+                    == expand_scope(fresh, Partition(base, fresh), Scope.EXTENSION, VCD))
     assert VCD.category_map(g) == VCD.category_map(fresh)
     assert g.start_vertices() == fresh.start_vertices()
     assert g.end_vertices() == fresh.end_vertices()

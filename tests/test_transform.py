@@ -6,7 +6,7 @@ import pytest
 from provpolicy.errors import TransformError, UnknownVertexError
 from provpolicy.graph import EdgeLabel, structural_hash
 from provpolicy.partition import Partition, VerticesSpec, resolve
-from provpolicy.pathexpr import NameTest
+from provpolicy.pathexpr import NameTest, node_test_to_text
 from provpolicy.policy import (
     DependencyLabel,
     EdgeMergeTable,
@@ -26,7 +26,7 @@ from provpolicy.transform import (
 )
 
 import oracles
-from util import E, G, V
+from util import E, G, V, random_node_test
 
 U = EdgeLabel.USED
 WGB = EdgeLabel.WAS_GENERATED_BY
@@ -121,6 +121,56 @@ def test_scope_extension_matches_oracle(graph_c, vcd):
     }
     assert {c.vertex_ids for c in clusters} == expected
     assert all(c.category == "Grading" for c in clusters)
+
+
+def naive_extension(g, base, cd):
+    """Extension scope from the first-match category scan and the
+    brute-force component search, in the order ``expand_scope`` gives."""
+
+    def name(vid):
+        return getattr(cd.category_of(g, vid), "name", None)
+
+    names = {name(vid) for vid in base}
+    clusters = []
+    for cat in cd.categories:
+        if cat.name in names:
+            members = {vid for vid in g.vertices if name(vid) == cat.name}
+            clusters += [
+                Cluster(frozenset(comp), cat.name)
+                for comp in oracles.naive_same_category_components(g, members)
+            ]
+    return clusters + [Cluster(frozenset({vid})) for vid in sorted(base) if name(vid) is None]
+
+
+def test_scope_extension_random_dictionaries(small_graphs):
+    rng = random.Random(67)
+    for g in small_graphs[:24]:
+        ids = sorted(g.vertices)
+        questions = []
+        # two dictionaries with the same category names but their own
+        # members; in each, a vertex both C0 and C1 match belongs to C0
+        for _ in range(2):
+            shared = rng.choice(ids)
+            tests = [[node_test_to_text(random_node_test(rng, g))
+                      for _ in range(rng.randint(1, 2))] for _ in range(3)]
+            tests[0].append(shared)
+            tests[1].insert(0, shared)
+            cd = parse_vcd({"categories": [
+                {"name": f"C{i}", "label": f"c{i}", "members": members}
+                for i, members in enumerate(tests)
+            ]})
+            assert cd.category_map(g)[shared].name == "C0"
+            questions.append((cd, {shared, *rng.sample(ids, rng.randint(0, 3))}))
+            questions.append((cd, set(rng.sample(ids, rng.randint(1, 4)))))
+        questions = questions[::2] + questions[1::2]  # interleave the two
+        # the second round is answered from the components kept on g
+        for _ in range(2):
+            for cd, base in questions:
+                clusters = expand_scope(g, part_of(g, *base), Scope.EXTENSION, cd)
+                assert clusters == naive_extension(g, base, cd), (g.id, sorted(base))
+                # callers may extend the list; that must not reach the cache
+                clusters.append(Cluster(frozenset({ids[0]})))
+                clusters[0] = Cluster(frozenset({ids[-1]}))
 
 
 def test_scope_uncategorized_become_singletons(graph_c, vcd, caplog):
