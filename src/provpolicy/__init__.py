@@ -89,7 +89,6 @@ from .transform import (
     TransformResult,
     apply_remove,
     apply_replace,
-    apply_transformations,
     cluster_category,
     expand_scope,
 )
@@ -97,6 +96,7 @@ from .evaluator import (
     Decision,
     Outcome,
     PlanStep,
+    apply_transformations,
     combine_effects,
     decision_to_dict,
     evaluate,

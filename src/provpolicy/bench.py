@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import InfeasibleConfigError, PathLimitError
+from .errors import InfeasibleConfigError
 from .evaluator import evaluate
 from .graph import Edge, EdgeLabel, ProvenanceGraph, Vertex, VertexType
 from .partition import (
@@ -29,6 +29,8 @@ from .partition import (
     PartitionSpec,
     SubgraphSpec,
     VerticesSpec,
+    _anchor_test,
+    agent_attribute_hull,
     resolve,
 )
 from .pathexpr import (
@@ -39,7 +41,7 @@ from .pathexpr import (
     TypedNameTest,
     TypeTest,
     WildcardTest,
-    test_matches,
+    matching_ids,
 )
 from .policy import (
     AccessRequest,
@@ -202,12 +204,7 @@ def sample_partitions(g: ProvenanceGraph, n: int, seed: int) -> list[Partition]:
                 break
             cur = rng.choice(neighbors)
             visited.add(cur)
-        hull = set(visited)
-        for vid in sorted(visited):
-            for nb in g.all_neighbors(vid):
-                if g.vertices[nb].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
-                    hull.add(nb)
-        out.append(Partition(frozenset(hull), g))
+        out.append(Partition(agent_attribute_hull(g, visited), g))
     return out
 
 
@@ -400,33 +397,10 @@ class _PathIndex:
                     out |= self.pair_general(s, e)
         return out
 
-    def subgraph_union(self, sources: set[str], sinks: set[str]) -> set[str]:
+    def subgraph_union(self, sources: set[str], sinks: set[str]) -> frozenset[str]:
         core = self.general_union(sources, sinks)
         core |= sources & sinks
-        hull = set(core)
-        for vid in core:
-            for nb in self.g.all_neighbors(vid):
-                if self.g.vertices[nb].vtype in (
-                    VertexType.AGENT,
-                    VertexType.ATTRIBUTE,
-                ):
-                    hull.add(nb)
-        return hull
-
-
-def _match_set(
-    g: ProvenanceGraph, memo: dict, endpoint: NodeTest | Terminal
-) -> set[str]:
-    if endpoint not in memo:
-        if endpoint is Terminal.START:
-            memo[endpoint] = set(g.start_vertices())
-        elif endpoint is Terminal.END:
-            memo[endpoint] = set(g.end_vertices())
-        else:
-            memo[endpoint] = {
-                vid for vid in g.vertices if test_matches(endpoint, g, vid)
-            }
-    return memo[endpoint]
+        return agent_attribute_hull(self.g, core)
 
 
 def _partition_names(g: ProvenanceGraph, p: Partition) -> tuple[str, ...]:
@@ -495,30 +469,19 @@ def paclp_candidates(g: ProvenanceGraph, p: Partition) -> Iterator[PartitionSpec
 
 
 def _fast_resolves_to(
-    g: ProvenanceGraph,
-    idx: _PathIndex,
-    memo: dict,
-    spec: PartitionSpec,
-    p: Partition,
+    g: ProvenanceGraph, idx: _PathIndex, spec: PartitionSpec, p: Partition
 ) -> bool:
     """Equality of ``resolve(g, spec)`` with ``p``, using the closed-form
     unions for path-based specs instead of path enumeration."""
     target = p.vertex_ids
     if isinstance(spec, VerticesSpec):
-        try:
-            return resolve(g, spec).vertex_ids == target
-        except PathLimitError:
-            return False
+        return resolve(g, spec).vertex_ids == target
+    sources = matching_ids(_anchor_test(g, spec.start), g)
+    sinks = matching_ids(_anchor_test(g, spec.end), g)
     if isinstance(spec, DirectedPathSpec):
-        sources = _match_set(g, memo, spec.start)
-        sinks = _match_set(g, memo, spec.end)
         return idx.directed_union(sources, sinks) == target
     if isinstance(spec, GeneralPathSpec):
-        sources = _match_set(g, memo, spec.start)
-        sinks = _match_set(g, memo, spec.end)
         return idx.general_union(sources, sinks) == target
-    sources = _match_set(g, memo, spec.start)
-    sinks = _match_set(g, memo, spec.end)
     return idx.subgraph_union(sources, sinks) == target
 
 
@@ -527,10 +490,7 @@ def expressible_paclp(g: ProvenanceGraph, p: Partition) -> bool:
     if not p.vertex_ids:
         return False
     idx = _PathIndex(g)
-    memo: dict = {}
-    return any(
-        _fast_resolves_to(g, idx, memo, spec, p) for spec in paclp_candidates(g, p)
-    )
+    return any(_fast_resolves_to(g, idx, spec, p) for spec in paclp_candidates(g, p))
 
 
 def expressible_lpac(g: ProvenanceGraph, p: Partition, *, enum_cap: int = 8) -> bool:
@@ -546,14 +506,13 @@ def expressible_lpac(g: ProvenanceGraph, p: Partition, *, enum_cap: int = 8) -> 
         if resolve(g, spec).vertex_ids == p.vertex_ids:
             return True
     idx = _PathIndex(g)
-    memo: dict = {}
     starts, ends = _boundary(g, p)
     for s in starts:
         for e in ends:
             if s == e:
                 continue
-            sources = _match_set(g, memo, NameTest((g.vertices[s].name,)))
-            sinks = _match_set(g, memo, NameTest((g.vertices[e].name,)))
+            sources = matching_ids(NameTest((g.vertices[s].name,)), g)
+            sinks = matching_ids(NameTest((g.vertices[e].name,)), g)
             if (
                 idx.directed_union(sources, sinks) == p.vertex_ids
                 and idx.directed_path_count(sources, sinks) == 1

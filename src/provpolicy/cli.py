@@ -29,7 +29,7 @@ from .bench import (
 from .errors import ProvPolicyError
 from .evaluator import decision_to_dict, evaluate
 from .graph import load_graph, save_graph, to_dot, validate_graph
-from .partition import parse_partition_expr, partition_to_text, resolve
+from .partition import PARTITION_KINDS, parse_partition_expr, partition_to_text, resolve
 from .pathexpr import parse_path_expr
 from .policy import (
     AccessRequest,
@@ -40,8 +40,6 @@ from .policy import (
     parse_vcd,
 )
 from .query import eval_query
-
-_PARTITION_KEYWORDS = ("vertices", "directed", "general", "subgraphs")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -96,7 +94,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     g = load_graph(_read(args.graph))
     text = args.expr.strip()
-    if text.split("(", 1)[0].strip() in _PARTITION_KEYWORDS:
+    if text.split("(", 1)[0].strip() in PARTITION_KINDS:
         spec = parse_partition_expr(text)
         part = resolve(g, spec)
         payload = {

@@ -1,5 +1,6 @@
 """Access-request evaluation: policy selection, per-vertex effect
-combination, and application of the winning transformation plan.
+combination, and application of the winning transformation plan; also
+the in-order application of a bare transformation list.
 
 Effects combine per vertex under absolute permit > deny > permit; a
 vertex no applicable policy covers defaults to permit, and a request no
@@ -17,7 +18,7 @@ from enum import Enum
 
 from .errors import EvaluationError, TransformError
 from .graph import EdgeLabel, ProvenanceGraph
-from .partition import resolve
+from .partition import partition_to_text, resolve
 from .policy import (
     AccessRequest,
     CategoryDictionary,
@@ -44,6 +45,7 @@ __all__ = [
     "Decision",
     "Outcome",
     "PlanStep",
+    "apply_transformations",
     "combine_effects",
     "decision_to_dict",
     "evaluate",
@@ -59,8 +61,9 @@ class Outcome(Enum):
 @dataclass(frozen=True)
 class PlanStep:
     """One concrete transformation application: which policy asked for
-    it, the transformation's index inside that policy, and the cluster
-    it acts on after shielding and overlap resolution."""
+    it (none, ``""``, for a step of a bare transformation list), the
+    transformation's index inside that policy, and the cluster it acts
+    on after shielding and overlap resolution."""
 
     policy_id: str
     tindex: int
@@ -167,36 +170,16 @@ def evaluate(
                          Cluster(live, s.cluster.category))
         plan.append(s)
 
-    working = g
     records: list[dict] = []
-    applied: list[PlanStep] = []
-    for s in plan:
-        live = frozenset(v for v in s.cluster.vertex_ids if v in working.vertices)
-        context = {"policy": s.policy_id, "transformation": s.tindex}
-        if not live:
-            records.append({**context, "op": "skip",
-                            "reason": "cluster already removed"})
-            continue
-        c = Cluster(live, s.cluster.category)
-        try:
-            if s.transformation.mode is Mode.REMOVE:
-                step = apply_remove(working, c, s.transformation.label, emt)
-            else:
-                category = cluster_category(working, c, vcd)
-                step = apply_replace(
-                    working, c, vcd, s.transformation.label,
-                    vertex_id=f"merged:{s.tindex}:{category.name}",
-                )
-        except TransformError as e:
-            raise TransformError(f"policy {s.policy_id!r}: {e}") from e
-        working = step.graph
-        applied.append(PlanStep(s.policy_id, s.tindex, s.transformation, c))
-        records.extend({**context, **r} for r in step.log)
-
+    view, applied = _apply_steps(
+        g,
+        ((s, {"policy": s.policy_id, "transformation": s.tindex},
+          f"policy {s.policy_id!r}: ") for s in plan),
+        vcd, emt, records,
+    )
     if applied:
-        check_view(working, "transformation plan")
+        check_view(view, "transformation plan")
     outcome = Outcome.PERMIT_FULL if not applied else Outcome.PERMIT_TRANSFORMED
-    view = working
     if req.query is not None:
         matches = eval_query(view, req.query)
         keep = {vid for m in matches for vid in m.vertices}
@@ -217,6 +200,79 @@ def evaluate(
         outcome, tuple(p.id for p in apps), tuple(applied), effects, len(hidden)
     )
     return decision, TransformResult(view, tuple(records))
+
+
+def apply_transformations(
+    g: ProvenanceGraph,
+    transformations: list[Transformation] | tuple[Transformation, ...],
+    vcd: CategoryDictionary,
+    emt: EdgeMergeTable,
+) -> TransformResult:
+    """Apply a transformation list in order, each resolving its partition
+    on the current intermediate graph. Empty partitions are logged no-ops."""
+    working = g
+    records: list[dict] = []
+    for ti, t in enumerate(transformations):
+        context = {
+            "transformation": ti,
+            "partition": partition_to_text(t.partition),
+            "scope": t.scope.value,
+            "mode": t.mode.value,
+        }
+        part = resolve(working, t.partition)
+        if part.is_empty:
+            records.append({**context, "op": "skip", "reason": "empty partition"})
+            continue
+        # a skipped step's record names the whole cluster; an applied
+        # step's own record replaces it with the part the step acted on
+        steps = [
+            (PlanStep("", ti, t, c), {**context, "cluster": sorted(c.vertex_ids)}, "")
+            for c in expand_scope(working, part, t.scope, vcd)
+        ]
+        working, _ = _apply_steps(working, steps, vcd, emt, records)
+    check_view(working, "transformation pipeline")
+    return TransformResult(working, tuple(records))
+
+
+def _apply_steps(
+    g: ProvenanceGraph,
+    steps: Iterable[tuple[PlanStep, dict, str]],
+    vcd: CategoryDictionary,
+    emt: EdgeMergeTable,
+    records: list[dict],
+) -> tuple[ProvenanceGraph, list[PlanStep]]:
+    """Apply each step, in order, to the graph the steps before it left.
+
+    A step comes with the context its log records start with and the
+    label put in front of its TransformError. It acts on the part of its
+    cluster still in the graph, and is logged as skipped when none is.
+    Returns the last graph and the steps as applied.
+    """
+    working = g
+    applied: list[PlanStep] = []
+    for s, context, label in steps:
+        live = frozenset(v for v in s.cluster.vertex_ids if v in working.vertices)
+        if not live:
+            records.append({**context, "op": "skip",
+                            "reason": "cluster already removed"})
+            continue
+        c = Cluster(live, s.cluster.category)
+        t = s.transformation
+        try:
+            if t.mode is Mode.REMOVE:
+                step = apply_remove(working, c, t.label, emt)
+            else:
+                category = cluster_category(working, c, vcd)
+                step = apply_replace(
+                    working, c, vcd, t.label,
+                    vertex_id=f"merged:{s.tindex}:{category.name}",
+                )
+        except TransformError as e:
+            raise TransformError(f"{label}{e}") from e
+        working = step.graph
+        applied.append(PlanStep(s.policy_id, s.tindex, t, c))
+        records.extend({**context, **r} for r in step.log)
+    return working, applied
 
 
 def decision_to_dict(decision: Decision, result: TransformResult) -> dict:

@@ -19,6 +19,7 @@ selector to the graph's end, respectively.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +33,7 @@ from .pathexpr import (
     matching_ids,
     node_test_to_text,
 )
-from .query import DEFAULT_MAX_PATHS, eval_directed_path, eval_general_path
+from .query import eval_directed_path, eval_general_path
 
 
 @dataclass(frozen=True)
@@ -94,27 +95,26 @@ def _anchor_test(g: ProvenanceGraph, endpoint: NodeTest | Terminal) -> NodeTest:
     return endpoint
 
 
-def resolve_path(
-    g: ProvenanceGraph,
-    spec: DirectedPathSpec | GeneralPathSpec,
-    *,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> Partition:
+def agent_attribute_hull(g: ProvenanceGraph, core: Collection[str]) -> frozenset[str]:
+    """``core`` plus the agent and attribute vertices adjacent to it (but
+    not their own neighbors)."""
+    hull = set(core)
+    for vid in core:
+        for n in g.all_neighbors(vid):
+            if g.vertices[n].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
+                hull.add(n)
+    return frozenset(hull)
+
+
+def resolve_path(g: ProvenanceGraph, spec: DirectedPathSpec | GeneralPathSpec) -> Partition:
     if isinstance(spec, DirectedPathSpec):
-        paths = eval_directed_path(
-            g, spec.start, spec.end, via=spec.vias, max_paths=max_paths
-        )
+        paths = eval_directed_path(g, spec.start, spec.end, via=spec.vias)
     else:
-        paths = eval_general_path(g, spec.start, spec.end, max_paths=max_paths)
+        paths = eval_general_path(g, spec.start, spec.end)
     return Partition(frozenset(vid for p in paths for vid in p.vertices), g)
 
 
-def resolve_subgraph(
-    g: ProvenanceGraph,
-    spec: SubgraphSpec,
-    *,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> Partition:
+def resolve_subgraph(g: ProvenanceGraph, spec: SubgraphSpec) -> Partition:
     """General-path union between the endpoint matches, then a one-step
     hull: agent and attribute vertices adjacent to the core join the
     partition (their own neighbors do not).
@@ -124,33 +124,25 @@ def resolve_subgraph(
     """
     start_test = _anchor_test(g, spec.start)
     end_test = _anchor_test(g, spec.end)
-    paths = eval_general_path(g, start_test, end_test, max_paths=max_paths)
+    paths = eval_general_path(g, start_test, end_test)
     core = {vid for p in paths for vid in p.vertices}
     core |= matching_ids(start_test, g) & matching_ids(end_test, g)
-
-    hull = set(core)
-    for vid in core:
-        for n in g.all_neighbors(vid):
-            if g.vertices[n].vtype in (VertexType.AGENT, VertexType.ATTRIBUTE):
-                hull.add(n)
-    return Partition(frozenset(hull), g)
+    return Partition(agent_attribute_hull(g, core), g)
 
 
-def resolve(
-    g: ProvenanceGraph, spec: PartitionSpec, *, max_paths: int = DEFAULT_MAX_PATHS
-) -> Partition:
+def resolve(g: ProvenanceGraph, spec: PartitionSpec) -> Partition:
     if isinstance(spec, VerticesSpec):
         return resolve_vertices(g, spec)
     if isinstance(spec, (DirectedPathSpec, GeneralPathSpec)):
-        return resolve_path(g, spec, max_paths=max_paths)
+        return resolve_path(g, spec)
     if isinstance(spec, SubgraphSpec):
-        return resolve_subgraph(g, spec, max_paths=max_paths)
+        return resolve_subgraph(g, spec)
     raise TypeError(f"not a partition spec: {spec!r}")
 
 
 # ==== text form ====
 
-_KINDS = ("vertices", "directed", "general", "subgraphs")
+PARTITION_KINDS = ("vertices", "directed", "general", "subgraphs")
 
 
 def parse_partition_expr(text: str) -> PartitionSpec:
@@ -163,12 +155,12 @@ def parse_partition_expr(text: str) -> PartitionSpec:
     p = ExpressionParser(text, tolerate_gt=True)
     p.skip_ws()
     kind = None
-    for candidate in _KINDS:
+    for candidate in PARTITION_KINDS:
         if p.try_literal(candidate):
             kind = candidate
             break
     if kind is None:
-        raise p.error("expected a partition kind", _KINDS)
+        raise p.error("expected a partition kind", PARTITION_KINDS)
     p.expect_literal("(")
 
     if kind == "vertices":

@@ -10,8 +10,9 @@ JSON-serializable audit log; inputs are never mutated.
 
 Both steps take a graph that passes ``validate_graph(g,
 allow_was_caused_by=True)`` and return one, without checking the whole
-result: a pipeline checks the view it produces once, after its last
-step, with ``check_view``.
+result: ``evaluator``, which applies every plan and transformation
+list, checks the view it produces once, after its last step, with
+``check_view``.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from .graph import (
     edge_is_legal,
     validate_graph,
 )
-from .partition import Partition, partition_to_text, resolve
+from .partition import Partition
 from .policy import (
     Category,
     CategoryDictionary,
     DependencyLabel,
     EdgeMergeTable,
-    Mode,
     Scope,
-    Transformation,
 )
 
 log = logging.getLogger(__name__)
@@ -462,51 +461,3 @@ def _fresh_id(base: str, taken: set[str]) -> str:
     while f"{base}-{n}" in taken:
         n += 1
     return f"{base}-{n}"
-
-
-# ==== pipelines ====
-
-
-def apply_transformations(
-    g: ProvenanceGraph,
-    transformations: list[Transformation] | tuple[Transformation, ...],
-    vcd: CategoryDictionary,
-    emt: EdgeMergeTable,
-) -> TransformResult:
-    """Apply a transformation list in order, each resolving its partition
-    on the current intermediate graph. Empty partitions are logged no-ops."""
-    working = g
-    records: list[dict] = []
-    for ti, t in enumerate(transformations):
-        context = {
-            "transformation": ti,
-            "partition": partition_to_text(t.partition),
-            "scope": t.scope.value,
-            "mode": t.mode.value,
-        }
-        part = resolve(working, t.partition)
-        if part.is_empty:
-            records.append({**context, "op": "skip", "reason": "empty partition"})
-            continue
-        clusters = expand_scope(working, part, t.scope, vcd)
-        for c in clusters:
-            live = frozenset(vid for vid in c.vertex_ids if vid in working.vertices)
-            if not live:
-                records.append(
-                    {**context, "op": "skip", "reason": "cluster already removed",
-                     "cluster": sorted(c.vertex_ids)}
-                )
-                continue
-            c = Cluster(live, c.category)
-            if t.mode is Mode.REMOVE:
-                step = apply_remove(working, c, t.label, emt)
-            else:
-                category = cluster_category(working, c, vcd)
-                step = apply_replace(
-                    working, c, vcd, t.label,
-                    vertex_id=f"merged:{ti}:{category.name}",
-                )
-            working = step.graph
-            records.extend({**context, **r} for r in step.log)
-    check_view(working, "transformation pipeline")
-    return TransformResult(working, tuple(records))

@@ -23,6 +23,7 @@ from provpolicy.policy import (
     Scope,
     Target,
     Transformation,
+    parse_vcd,
 )
 from provpolicy.samples import sample_policy
 
@@ -404,3 +405,43 @@ def test_invalid_input_without_an_applied_step_is_not_checked(vcd, emt):
     decision, result = evaluate(req_for(g), [p], g, vcd, emt)
     assert decision.outcome is Outcome.PERMIT_FULL
     assert result.graph is g
+
+
+# ==== the step loop ====
+
+
+def test_overlapping_removes_act_on_what_is_left(graph_a, vcd, emt):
+    first = pol("a", Effect.DENY, ["o1v1", "o1v2"])
+    partly = pol("b", Effect.DENY, ["o1v1", "replace1"])
+    gone = pol("c", Effect.DENY, ["o1v2"])
+    decision, result = evaluate(
+        req_for(graph_a), [gone, partly, first], graph_a, vcd, emt
+    )
+    assert [(s.policy_id, s.cluster.vertex_ids) for s in decision.plan] == [
+        ("a", frozenset({"o1v1", "o1v2"})),
+        ("b", frozenset({"replace1"})),
+    ]
+    assert [r["op"] for r in result.log] == ["remove", "remove", "skip"]
+    assert result.log[1]["cluster"] == ["replace1"]
+    skip = result.log[2]
+    assert skip == {"policy": "c", "transformation": 0, "op": "skip",
+                    "reason": "cluster already removed"}
+    assert list(skip) == ["policy", "transformation", "op", "reason"]
+
+
+def test_step_error_names_its_policy(vcd, emt):
+    # collapsing the two ends of a chain closes a loop through the middle
+    g = G(
+        "loop",
+        [V("p1", "P"), V("a1", "A"), V("p3", "P")],
+        [E("p3", "a1", "used"), E("a1", "p1", "wgb")],
+    )
+    ends = parse_vcd(
+        {"categories": [{"name": "Ends", "label": "X", "members": ["p1", "p3"]}]}
+    )
+    p = pol("collapse", Effect.DENY, ["p1", "p3"], mode=Mode.REPLACE, graph="loop")
+    with pytest.raises(TransformError) as info:
+        evaluate(req_for(g), [p], g, ends, emt)
+    assert str(info.value).startswith(
+        "policy 'collapse': replace produced an invalid graph: cycle"
+    )

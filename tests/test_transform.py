@@ -15,12 +15,12 @@ from provpolicy.policy import (
     Transformation,
     parse_vcd,
 )
+from provpolicy.evaluator import apply_transformations
 from provpolicy.samples import sample_policy
 from provpolicy.transform import (
     Cluster,
     apply_remove,
     apply_replace,
-    apply_transformations,
     cluster_category,
     expand_scope,
 )
@@ -546,3 +546,33 @@ def test_pipeline_does_not_mutate(graph_c, vcd, emt):
     before = structural_hash(graph_c)
     apply_transformations(graph_c, sample_policy().transformations, vcd, emt)
     assert structural_hash(graph_c) == before
+
+
+def test_pipeline_skips_a_cluster_an_earlier_one_removed(vcd, emt):
+    # p1 is in the Grading category and q in none, so conjunction scope
+    # gives the clusters {p1} and {q}; removing p1 takes its orphaned
+    # attribute q, and the second cluster finds nothing left
+    g = G(
+        "attr",
+        [V("p1", "P", "grade2"), V("a1", "A"), V("q", "Att", value="v")],
+        [E("p1", "a1", "used"), E("p1", "q", "ha")],
+    )
+    t = Transformation(
+        VerticesSpec(NameTest(("grade2", "q"))),
+        Scope.CONJUNCTION,
+        Mode.REMOVE,
+        DependencyLabel.ORIGINAL,
+    )
+    res = apply_transformations(g, [t], vcd, emt)
+    assert sorted(res.graph.vertices) == ["a1"]
+    assert [r["op"] for r in res.log] == ["remove", "skip"]
+    assert res.log[0]["removed_attributes"] == ["q"]
+    assert res.log[1] == {
+        "transformation": 0,
+        "partition": "vertices(grade2|q)",
+        "scope": "conjunction",
+        "mode": "remove",
+        "op": "skip",
+        "reason": "cluster already removed",
+        "cluster": ["q"],
+    }
