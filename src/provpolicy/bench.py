@@ -17,9 +17,9 @@ import statistics
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import InfeasibleConfigError
+from .errors import InfeasibleConfigError, PathLimitError
 from .evaluator import evaluate
 from .graph import Edge, EdgeLabel, ProvenanceGraph, Vertex, VertexType
 from .partition import (
@@ -55,6 +55,7 @@ from .policy import (
     Target,
     Transformation,
 )
+from .query import directed_union, eval_directed_path
 
 # ==== graph generation ====
 
@@ -261,19 +262,14 @@ def _blocks_of(adjacency: dict[str, list[str]]) -> list[frozenset[str]]:
 
 
 class _PathIndex:
-    """Closed-form path unions over one graph.
-
-    Directed: in a DAG, a vertex lies on a simple chronological path
-    between two endpoints exactly when it is forward-reachable from the
-    start and backward-reachable from the end. Mixed-direction: a vertex
+    """Closed-form mixed-direction path unions over one graph: a vertex
     lies on a simple path between two endpoints exactly when its block
-    sits on the block-cut-tree path between them.
+    sits on the block-cut-tree path between them. Directed unions come
+    from ``query.directed_union``.
     """
 
     def __init__(self, g: ProvenanceGraph) -> None:
         self.g = g
-        self._reach: dict[str, frozenset[str]] = {}
-        self._coreach: dict[str, frozenset[str]] = {}
         adjacency = {
             vid: sorted(g.undirected_neighbors(vid))
             for vid, v in g.vertices.items()
@@ -293,58 +289,6 @@ class _PathIndex:
                 cnode = ("c", c)
                 self._tree[bnode].add(cnode)
                 self._tree.setdefault(cnode, set()).add(bnode)
-
-    def _bfs(self, vid: str, successors: Callable) -> frozenset[str]:
-        seen = {vid}
-        frontier = [vid]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u, _label in successors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return frozenset(seen)
-
-    def reach(self, vid: str) -> frozenset[str]:
-        if vid not in self._reach:
-            self._reach[vid] = self._bfs(vid, self.g.cause_successors)
-        return self._reach[vid]
-
-    def coreach(self, vid: str) -> frozenset[str]:
-        if vid not in self._coreach:
-            self._coreach[vid] = self._bfs(vid, self.g.effect_successors)
-        return self._coreach[vid]
-
-    def directed_union(self, sources: set[str], sinks: set[str]) -> set[str]:
-        out: set[str] = set()
-        for s in sources:
-            for e in sinks:
-                if s == e or e not in self.reach(s):
-                    continue
-                between = self.reach(s) & self.coreach(e)
-                if len(between) > 2:
-                    out |= between
-        return out
-
-    def directed_path_count(self, sources: set[str], sinks: set[str]) -> int:
-        """Distinct chronological paths with at least one interior vertex."""
-        total = 0
-        for e in sorted(sinks):
-            ways: dict[str, int] = {e: 1}
-
-            def count(v: str) -> int:
-                if v not in ways:
-                    ways[v] = sum(count(u) for u, _ in self.g.cause_successors(v))
-                return ways[v]
-
-            for s in sorted(sources):
-                if s == e:
-                    continue
-                direct = sum(1 for u, _ in self.g.cause_successors(s) if u == e)
-                total += count(s) - direct
-        return total
 
     def _node_of(self, vid: str) -> tuple | None:
         if vid in self._cuts:
@@ -479,7 +423,7 @@ def _fast_resolves_to(
     sources = matching_ids(_anchor_test(g, spec.start), g)
     sinks = matching_ids(_anchor_test(g, spec.end), g)
     if isinstance(spec, DirectedPathSpec):
-        return idx.directed_union(sources, sinks) == target
+        return directed_union(g, sources, sinks) == target
     if isinstance(spec, GeneralPathSpec):
         return idx.general_union(sources, sinks) == target
     return idx.subgraph_union(sources, sinks) == target
@@ -505,19 +449,20 @@ def expressible_lpac(g: ProvenanceGraph, p: Partition, *, enum_cap: int = 8) -> 
         spec = VerticesSpec(NameTest(names))
         if resolve(g, spec).vertex_ids == p.vertex_ids:
             return True
-    idx = _PathIndex(g)
     starts, ends = _boundary(g, p)
     for s in starts:
         for e in ends:
             if s == e:
                 continue
-            sources = matching_ids(NameTest((g.vertices[s].name,)), g)
-            sinks = matching_ids(NameTest((g.vertices[e].name,)), g)
-            if (
-                idx.directed_union(sources, sinks) == p.vertex_ids
-                and idx.directed_path_count(sources, sinks) == 1
-            ):
-                return True
+            a = NameTest((g.vertices[s].name,))
+            b = NameTest((g.vertices[e].name,))
+            if directed_union(g, matching_ids(a, g), matching_ids(b, g)) != p.vertex_ids:
+                continue
+            try:  # the union is covered; is it by exactly one path?
+                eval_directed_path(g, a, b, max_paths=1)
+            except PathLimitError:
+                continue
+            return True
     return False
 
 

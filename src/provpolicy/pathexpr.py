@@ -125,15 +125,6 @@ class PathStep:
 @dataclass(frozen=True)
 class PathExpr:
     steps: tuple[PathStep, ...]
-    source: str = ""
-
-    def __eq__(self, other: object) -> bool:  # source text is not semantic
-        if not isinstance(other, PathExpr):
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
 
 
 # ==== matching ====
@@ -274,12 +265,6 @@ class ExpressionParser:
 
     # -- node tests --
 
-    def scan_alternation(self) -> tuple[str, ...]:
-        names = [self.scan_name()]
-        while self.try_literal("|"):
-            names.append(self.scan_name())
-        return tuple(names)
-
     def _scan_selector_arg(self) -> str:
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "'":
@@ -381,7 +366,7 @@ def parse_path_expr(text: str) -> PathExpr:
     steps = [p.parse_step()]
     while not p.at_end():
         steps.append(p.parse_step())
-    return PathExpr(tuple(steps), source=text)
+    return PathExpr(tuple(steps))
 
 
 def parse_node_test_text(text: str) -> NodeTest:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .errors import PathLimitError, QueryError
 from .graph import Direction, Edge, ProvenanceGraph
@@ -71,13 +71,25 @@ class _Collector:
         return [self.seen[key] for key in sorted(self.seen)]
 
 
-def _first_edge_per_target(edges: tuple[Edge, ...], by_dst: bool) -> list[Edge]:
-    """One edge per neighbor, chosen deterministically when labels differ."""
-    picked: dict[str, Edge] = {}
-    for e in edges:  # adjacency is pre-sorted, so the first edge wins
-        key = e.dst if by_dst else e.src
-        picked.setdefault(key, e)
-    return [picked[k] for k in sorted(picked)]
+#: One hop of a path walk: the vertex reached, the direction taken and
+#: the stored edge crossed.
+Move = tuple[str, Direction, Edge]
+
+
+def _moves(g: ProvenanceGraph, vid: str, *directions: Direction) -> list[Move]:
+    """The hops from ``vid`` in the given directions, one per neighbour,
+    sorted by neighbour. Adjacency is pre-sorted, so the first edge wins
+    when labels differ, and a step in an earlier direction wins over one
+    in a later direction (a cause step, in a general walk)."""
+    found: dict[str, Move] = {}
+    for direction in directions:
+        if direction is Direction.CAUSE:  # stored edge (u, vid): cause step vid -> u
+            for e in g.cause_edges(vid):
+                found.setdefault(e.src, (e.src, direction, e))
+        else:
+            for e in g.effect_edges(vid):
+                found.setdefault(e.dst, (e.dst, direction, e))
+    return [found[k] for k in sorted(found)]
 
 
 # ==== expression queries ====
@@ -113,13 +125,17 @@ def eval_query(
         for step in steps
     ]
 
+    @cache
+    def hops(vid: str) -> list[Move]:
+        return _moves(g, vid, Direction.EFFECT)
+
     def moves(vid: str, idx: int) -> Iterator[tuple[Edge, int]]:
         """The hops from ``vid`` while step ``idx`` is pending, each with
         the step pending after it: ``idx + 1`` where the hop's target
         matches step ``idx``, and ``idx`` again where a descendant axis
         walks on through its gap."""
-        for e in _first_edge_per_target(g.effect_edges(vid), by_dst=True):
-            if e.dst in hits[idx]:
+        for dst, _, e in hops(vid):
+            if dst in hits[idx]:
                 yield e, idx + 1
             if steps[idx].axis is Axis.DESCENDANT:
                 yield e, idx
@@ -158,10 +174,6 @@ def eval_query(
 
 
 # ==== directed and general paths ====
-
-#: One hop of a path walk: the vertex reached, the direction taken and
-#: the stored edge crossed.
-Move = tuple[str, Direction, Edge]
 
 
 def _walk_paths(
@@ -206,6 +218,40 @@ def _walk_paths(
             stack.append(iter(moves(nxt)))
 
 
+def directed_union(
+    g: ProvenanceGraph, starts: Collection[str], ends: Collection[str]
+) -> set[str]:
+    """The vertices of every cause-step path of at least three vertices
+    from a start to an end, by two searches over vertex sets.
+
+    ``after`` holds the vertices one or more cause steps from a start;
+    ``inner``, the part of it one or more cause steps before an end, the
+    possible interior vertices. A start joins when a cause step of its
+    lands in ``inner``, an end when an effect step of its does. Exact on a
+    DAG, where every walk is a simple path; on any other graph a superset,
+    since a walk through ``inner`` may repeat a vertex."""
+    after: set[str] = set()
+    stack = list(starts)
+    while stack:
+        for e in g.cause_edges(stack.pop()):
+            if e.src not in after:
+                after.add(e.src)
+                stack.append(e.src)
+    # an end outside ``after`` has no effect step into it
+    ends_after = [t for t in ends if t in after]
+    inner: set[str] = set()
+    stack = list(ends_after)
+    while stack:
+        for e in g.effect_edges(stack.pop()):
+            if e.dst in after and e.dst not in inner:
+                inner.add(e.dst)
+                stack.append(e.dst)
+    union = set(inner)
+    union.update(s for s in starts if any(e.src in inner for e in g.cause_edges(s)))
+    union.update(t for t in ends_after if any(e.dst in inner for e in g.effect_edges(t)))
+    return union
+
+
 def eval_directed_path(
     g: ProvenanceGraph,
     from_test: NodeTest,
@@ -218,37 +264,15 @@ def eval_directed_path(
     steps only, passing through each via test in order (strictly between
     the endpoints). Matches shorter than three vertices are discarded.
 
-    The walk enters only vertices that lie on some cause-step walk from a
-    from-match to a to-match (reach from the starts intersected with
-    co-reach from the ends); every vertex of a matching path is one."""
+    The walk enters only ``directed_union`` of the endpoints, which holds
+    every vertex of every matching path."""
     out = _Collector(max_paths)
     starts = matching_ids(from_test, g)
     ends = matching_ids(to_test, g)
     via_hits = [matching_ids(test, g) for test in via]
-
-    # ahead: reached by cause steps from a start; live: the part of it
-    # that reaches an end
-    ahead = set(starts)
-    stack = list(ahead)
-    while stack:
-        for e in g.cause_edges(stack.pop()):
-            if e.src not in ahead:
-                ahead.add(e.src)
-                stack.append(e.src)
-    live = ahead & ends
-    stack = list(live)
-    while stack:
-        for e in g.effect_edges(stack.pop()):
-            if e.dst in ahead and e.dst not in live:
-                live.add(e.dst)
-                stack.append(e.dst)
+    live = directed_union(g, starts, ends)
     moves = {
-        vid: [
-            (e.src, Direction.CAUSE, e)
-            for e in _first_edge_per_target(g.cause_edges(vid), by_dst=False)
-            if e.src in live
-        ]
-        for vid in live
+        vid: [m for m in _moves(g, vid, Direction.CAUSE) if m[0] in live] for vid in live
     }
 
     def vias_satisfied(path: list[str]) -> bool:
@@ -280,12 +304,7 @@ def eval_general_path(
 
     @cache
     def moves(vid: str) -> list[Move]:
-        found: dict[str, Move] = {}
-        for e in g.cause_edges(vid):  # stored edge (u, vid): cause step vid -> u
-            found.setdefault(e.src, (e.src, Direction.CAUSE, e))
-        for e in g.effect_edges(vid):
-            found.setdefault(e.dst, (e.dst, Direction.EFFECT, e))
-        return [found[k] for k in sorted(found)]
+        return _moves(g, vid, Direction.CAUSE, Direction.EFFECT)
 
     _walk_paths(sorted(matching_ids(from_test, g)), moves, matching_ids(to_test, g), out)
     return out.sorted()

@@ -28,6 +28,7 @@ from provpolicy.graph import VertexType, structural_hash, validate_graph
 from provpolicy.partition import Partition
 from provpolicy.pathexpr import NameTest
 from provpolicy.policy import Effect
+from provpolicy.query import directed_union
 
 import oracles
 from util import E, G, V
@@ -210,6 +211,26 @@ def test_lpac_enum_cap():
     p = Partition(frozenset({"a1", "a2", "a3"}), g)
     assert expressible_lpac(g, p)
     assert not expressible_lpac(g, p, enum_cap=2)
+
+
+def chain(n):
+    """``n`` artifacts, each derived from the one before."""
+    return G(
+        f"chain{n}",
+        [V(f"a{i}", "A", f"doc{i}") for i in range(n)],
+        [E(f"a{i + 1}", f"a{i}", "wdf") for i in range(n - 1)],
+    )
+
+
+def test_long_chain_is_expressible_without_recursion():
+    # one directed path names the whole chain; counting its paths must
+    # not recurse once per vertex
+    g = chain(1500)
+    p = Partition(frozenset(g.vertices), g)
+    assert expressible_lpac(g, p)
+    assert expressible_paclp(g, p)
+    g = chain(3000)
+    assert directed_union(g, {"a0"}, {"a2999"}) == set(g.vertices)
 
 
 def test_run_expressiveness_report():

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from provpolicy.bench import GenConfig, gen_graphs
 from provpolicy.errors import PathLimitError, QueryError
 from provpolicy.graph import Direction, VertexType
 from provpolicy.pathexpr import NameTest, TypedNameTest, parse_path_expr
+from provpolicy.pathexpr import test_matches as vertex_matches  # renamed: pytest collects test_*
 from provpolicy.query import (
     MIN_PATH_VERTICES,
+    directed_union,
     eval_directed_path,
     eval_general_path,
     eval_query,
@@ -228,6 +231,38 @@ def test_path_engines_match_oracles_on_dead_ends_and_cycles(small_graphs):
             assert {m.vertices for m in got_general} == set(want), g.id
             for m in got_general:
                 assert tuple(d.value for d in m.directions) in want[m.vertices]
+
+
+def _matches(test, g):
+    return {vid for vid in g.vertices if vertex_matches(test, g, vid)}
+
+
+def test_directed_union_matches_oracle(small_graphs):
+    # on a DAG the two searches give exactly the vertices of the paths
+    rng = random.Random(41)
+    dense = gen_graphs(GenConfig(graphs=10, edge_density=0.6, seed=43))
+    for g in small_graphs[:25] + dense:
+        for _ in range(4):
+            start = random_node_test(rng, g)
+            end = random_node_test(rng, g)
+            want = {v for path in oracles.oracle_directed(g, start, end) for v in path}
+            assert directed_union(g, _matches(start, g), _matches(end, g)) == want, g.id
+
+
+def test_directed_union_covers_every_match_on_cyclic_graphs(small_graphs):
+    # on a cyclic graph it is only a superset, but never misses a vertex
+    # of a match, so the walk confined to it loses none
+    rng = random.Random(47)
+    cyclic = cyclic_variants(rng, small_graphs[:30])
+    assert len(cyclic) >= 15
+    for g in cyclic:
+        for _ in range(4):
+            start = random_node_test(rng, g)
+            end = random_node_test(rng, g)
+            vias = tuple(random_node_test(rng, g) for _ in range(rng.randint(0, 2)))
+            union = directed_union(g, _matches(start, g), _matches(end, g))
+            for m in eval_directed_path(g, start, end, via=vias):
+                assert set(m.vertices) <= union, g.id
 
 
 def test_directed_paths_beside_a_dead_end_branch():
