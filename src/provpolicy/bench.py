@@ -29,7 +29,6 @@ from .partition import (
     PartitionSpec,
     SubgraphSpec,
     VerticesSpec,
-    _anchor_test,
     agent_attribute_hull,
     resolve,
 )
@@ -55,7 +54,7 @@ from .policy import (
     Target,
     Transformation,
 )
-from .query import directed_union, eval_directed_path
+from .query import directed_union, eval_directed_path, general_union
 
 # ==== graph generation ====
 
@@ -212,141 +211,6 @@ def sample_partitions(g: ProvenanceGraph, n: int, seed: int) -> list[Partition]:
 # ==== expressiveness ====
 
 
-def _blocks_of(adjacency: dict[str, list[str]]) -> list[frozenset[str]]:
-    """Biconnected components of an undirected simple graph (iterative
-    Hopcroft-Tarjan). Isolated vertices belong to no block."""
-    visited: set[str] = set()
-    blocks: list[frozenset[str]] = []
-    for start in sorted(adjacency):
-        if start in visited:
-            continue
-        discovery = {start: 0}
-        low = {start: 0}
-        visited.add(start)
-        edge_stack: list[tuple[str, str]] = []
-        edge_index: dict[tuple[str, str], int] = {}
-        stack = [(start, start, iter(adjacency[start]))]
-        while stack:
-            grandparent, parent, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child == grandparent:
-                    continue
-                if child in visited:
-                    if discovery[child] <= discovery[parent]:
-                        low[parent] = min(low[parent], discovery[child])
-                        edge_index[(parent, child)] = len(edge_stack)
-                        edge_stack.append((parent, child))
-                else:
-                    discovery[child] = low[child] = len(discovery)
-                    visited.add(child)
-                    edge_index[(parent, child)] = len(edge_stack)
-                    edge_stack.append((parent, child))
-                    stack.append((parent, child, iter(adjacency[child])))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            stack.pop()
-            if len(stack) >= 1 and parent != start:
-                if low[parent] >= discovery[grandparent]:
-                    ind = edge_index[(grandparent, parent)]
-                    comp: set[str] = set()
-                    for a, b in edge_stack[ind:]:
-                        comp.add(a)
-                        comp.add(b)
-                    del edge_stack[ind:]
-                    blocks.append(frozenset(comp))
-                low[grandparent] = min(low[grandparent], low[parent])
-    return blocks
-
-
-class _PathIndex:
-    """Closed-form mixed-direction path unions over one graph: a vertex
-    lies on a simple path between two endpoints exactly when its block
-    sits on the block-cut-tree path between them. Directed unions come
-    from ``query.directed_union``.
-    """
-
-    def __init__(self, g: ProvenanceGraph) -> None:
-        self.g = g
-        adjacency = {
-            vid: sorted(g.undirected_neighbors(vid))
-            for vid, v in g.vertices.items()
-            if v.vtype is not VertexType.ATTRIBUTE
-        }
-        self._blocks = _blocks_of(adjacency)
-        self._vertex_blocks: dict[str, list[int]] = {}
-        for bi, block in enumerate(self._blocks):
-            for vid in block:
-                self._vertex_blocks.setdefault(vid, []).append(bi)
-        self._cuts = {v for v, bs in self._vertex_blocks.items() if len(bs) > 1}
-        self._tree: dict[tuple, set[tuple]] = {}
-        for bi, block in enumerate(self._blocks):
-            bnode = ("b", bi)
-            self._tree.setdefault(bnode, set())
-            for c in block & self._cuts:
-                cnode = ("c", c)
-                self._tree[bnode].add(cnode)
-                self._tree.setdefault(cnode, set()).add(bnode)
-
-    def _node_of(self, vid: str) -> tuple | None:
-        if vid in self._cuts:
-            return ("c", vid)
-        bs = self._vertex_blocks.get(vid)
-        return ("b", bs[0]) if bs else None
-
-    def _tree_path(self, a: tuple, b: tuple) -> list[tuple] | None:
-        if a == b:
-            return [a]
-        prev: dict[tuple, tuple | None] = {a: None}
-        frontier = [a]
-        while frontier and b not in prev:
-            nxt = []
-            for n in frontier:
-                for m in self._tree.get(n, ()):
-                    if m not in prev:
-                        prev[m] = n
-                        nxt.append(m)
-            frontier = nxt
-        if b not in prev:
-            return None
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])  # type: ignore[arg-type]
-        return path
-
-    def pair_general(self, u: str, v: str) -> set[str]:
-        nu, nv = self._node_of(u), self._node_of(v)
-        if nu is None or nv is None:
-            return set()
-        path = self._tree_path(nu, nv)
-        if path is None:
-            return set()
-        union: set[str] = set()
-        for node in path:
-            if node[0] == "b":
-                union |= self._blocks[node[1]]
-            else:
-                union.add(node[1])
-        if union == {u, v}:
-            return set()  # a lone bridge admits no three-vertex path
-        return union
-
-    def general_union(self, sources: set[str], sinks: set[str]) -> set[str]:
-        out: set[str] = set()
-        for s in sources:
-            for e in sinks:
-                if s != e:
-                    out |= self.pair_general(s, e)
-        return out
-
-    def subgraph_union(self, sources: set[str], sinks: set[str]) -> frozenset[str]:
-        core = self.general_union(sources, sinks)
-        core |= sources & sinks
-        return agent_attribute_hull(self.g, core)
-
-
 def _partition_names(g: ProvenanceGraph, p: Partition) -> tuple[str, ...]:
     return tuple(sorted({g.vertices[vid].name for vid in p.vertex_ids}))
 
@@ -412,29 +276,26 @@ def paclp_candidates(g: ProvenanceGraph, p: Partition) -> Iterator[PartitionSpec
             yield SubgraphSpec(a, Terminal.END)
 
 
-def _fast_resolves_to(
-    g: ProvenanceGraph, idx: _PathIndex, spec: PartitionSpec, p: Partition
-) -> bool:
-    """Equality of ``resolve(g, spec)`` with ``p``, using the closed-form
-    unions for path-based specs instead of path enumeration."""
+def _fast_resolves_to(g: ProvenanceGraph, spec: PartitionSpec, p: Partition) -> bool:
+    """Equality of ``resolve(g, spec)`` with ``p``. Path unions come from
+    the set-level engines, so no path is enumerated: ``resolve`` answers
+    vertices and subgraph specs, ``directed_union`` and ``general_union``
+    the path specs, which ``resolve`` would walk."""
     target = p.vertex_ids
-    if isinstance(spec, VerticesSpec):
+    if isinstance(spec, (VerticesSpec, SubgraphSpec)):
         return resolve(g, spec).vertex_ids == target
-    sources = matching_ids(_anchor_test(g, spec.start), g)
-    sinks = matching_ids(_anchor_test(g, spec.end), g)
+    sources = matching_ids(spec.start, g)
+    sinks = matching_ids(spec.end, g)
     if isinstance(spec, DirectedPathSpec):
         return directed_union(g, sources, sinks) == target
-    if isinstance(spec, GeneralPathSpec):
-        return idx.general_union(sources, sinks) == target
-    return idx.subgraph_union(sources, sinks) == target
+    return general_union(g, sources, sinks) == target
 
 
 def expressible_paclp(g: ProvenanceGraph, p: Partition) -> bool:
     """Can any partition spec of the full grammar name ``p`` exactly?"""
     if not p.vertex_ids:
         return False
-    idx = _PathIndex(g)
-    return any(_fast_resolves_to(g, idx, spec, p) for spec in paclp_candidates(g, p))
+    return any(_fast_resolves_to(g, spec, p) for spec in paclp_candidates(g, p))
 
 
 def expressible_lpac(g: ProvenanceGraph, p: Partition, *, enum_cap: int = 8) -> bool:

@@ -47,8 +47,9 @@ class PathLimitError(ProvPolicyError):
     def __init__(self, limit: int) -> None:
         self.limit = limit
         super().__init__(
-            f"path enumeration exceeded the cap of {limit} results; "
-            "narrow the expression or raise max_paths"
+            f"path enumeration exceeded the cap of {limit} results; narrow the "
+            "expression, or pass a larger max_paths to eval_query, "
+            "eval_directed_path or eval_general_path"
         )
 
 

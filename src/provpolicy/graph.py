@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Iterator, KeysView
 
 from .errors import GraphFormatError, UnknownVertexError
@@ -144,7 +145,8 @@ class ProvenanceGraph:
     """An immutable provenance graph with prebuilt adjacency indexes."""
 
     __slots__ = ("id", "vertices", "_edges", "_out", "_in", "_ha_out", "_ha_in", "_names",
-                 "_types", "_values", "_categories", "_neighbors", "_valid", "_derived")
+                 "_types", "_values", "_categories", "_neighbors", "_forest", "_valid",
+                 "_derived")
 
     def __init__(self, graph_id: str, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         self.id = graph_id
@@ -157,13 +159,14 @@ class ProvenanceGraph:
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
         # lookups built on first use: by name or id, by type, by (type,
         # attribute value), per dictionary a vertex -> category map and
-        # each category's components, and each vertex's neighbours over
-        # every edge
+        # each category's components, each vertex's neighbours over every
+        # edge, and the block-cut forest of the non-attribute edges
         self._names: dict[str, frozenset[str]] | None = None
         self._types: dict[VertexType, frozenset[str]] | None = None
         self._values: dict[tuple[VertexType, str], frozenset[str]] | None = None
         self._categories: dict[Any, tuple[dict[str, Any], dict[str, Any]]] | None = None
         self._neighbors: dict[str, frozenset[str]] | None = None
+        self._forest: tuple[tuple[tuple[str, tuple[str, ...]], ...], ...] | None = None
         # whether validate_graph(self, allow_was_caused_by=True) is empty,
         # once a check has found out
         self._valid: bool | None = None
@@ -209,7 +212,7 @@ class ProvenanceGraph:
         g.id = self.id
         g.vertices = vs = self.vertices.copy()
         g._edges = es = self._edges.copy()
-        g._names = g._types = g._values = g._categories = g._neighbors = None
+        g._names = g._types = g._values = g._categories = g._neighbors = g._forest = None
         g._valid = None
         if self._derived is None:
             g._derived = (self, add_vertices, add_edges)
@@ -416,6 +419,56 @@ class ProvenanceGraph:
             return self._neighbors[vid]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex id {vid!r} in graph {self.id!r}") from None
+
+    def block_forest(self) -> tuple[tuple[tuple[str, tuple[str, ...]], ...], ...]:
+        """The block-cut forest of the non-attribute edges, whatever the
+        vertex types (Hopcroft and Tarjan, 1973, iterative): per connected
+        component with an edge, its blocks (biconnected components) as
+        ``(head, members)``. The head is the block's vertex nearest the
+        depth-first root: the cut vertex above the block in the rooted
+        block-cut tree, or the root. Blocks come children first, so every
+        block headed at a member comes before the member's own block, and
+        the last block's head is the component's root. Built on the first
+        call."""
+        if self._forest is None:
+            disc: dict[str, int] = {}
+            low: dict[str, int] = {}
+            forest = []
+
+            def ends(v: str) -> Iterator[str]:
+                # a self-loop or a second edge to a neighbour only lowers
+                # low[v] to a discovery number no lower than its parent's
+                yield from (e.dst for e in self._out.get(v, ()))
+                yield from (e.src for e in self._in.get(v, ()))
+
+            for root in self.vertices:
+                if root in disc:
+                    continue
+                disc[root] = low[root] = len(disc)
+                blocks: list[tuple[str, tuple[str, ...]]] = []
+                found: list[str] = []  # discovered, not yet in a block
+                walk = [(root, 0, ends(root))]
+                while walk:
+                    v, at, todo = walk[-1]
+                    for w in todo:
+                        if w not in disc:
+                            disc[w] = low[w] = len(disc)
+                            walk.append((w, len(found), ends(w)))
+                            found.append(w)
+                            break
+                        low[v] = min(low[v], disc[w])
+                    else:
+                        walk.pop()
+                        if walk:
+                            parent = walk[-1][0]
+                            if low[v] >= disc[parent]:
+                                blocks.append((parent, tuple(found[at:])))
+                                del found[at:]
+                            low[parent] = min(low[parent], low[v])
+                if blocks:
+                    forest.append(tuple(blocks))
+            self._forest = tuple(forest)
+        return self._forest
 
     def attribute_edges(self, vid: str) -> tuple[Edge, ...]:
         """hasAttributes edges leaving ``vid`` for its attribute vertices."""
@@ -630,26 +683,29 @@ def _acyclic(adj: dict[str, list[str]]) -> bool:
 # ==== serialization ====
 
 
-def _canonical_dict(g: ProvenanceGraph) -> dict[str, Any]:
-    vertices = []
-    for vid in sorted(g.vertices):
-        v = g.vertices[vid]
-        entry: dict[str, Any] = {"id": v.id, "type": v.vtype.value, "name": v.name}
-        if v.value is not None:
-            entry["value"] = v.value
-        vertices.append(entry)
-    edges = []
-    for e in sorted(g.edges, key=edge_sort_key):
-        entry = {"src": e.src, "dst": e.dst, "label": e.label.value}
-        if e.tag is not None:
-            entry["tag"] = e.tag
-        edges.append(entry)
-    return {"id": g.id, "vertices": vertices, "edges": edges}
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def save_graph(g: ProvenanceGraph) -> str:
-    """Serialize to canonical JSON: sorted vertices/edges, stable key order."""
-    return json.dumps(_canonical_dict(g), indent=2, ensure_ascii=False) + "\n"
+    """Serialize to canonical JSON: sorted vertices/edges, stable key order,
+    two-space indent, non-ASCII text kept. The text is built directly, as
+    ``json.dumps`` with an indent runs the pure-Python encoder; strings go
+    through the same escaping function that ``json.dumps`` uses."""
+    q = encode_basestring
+    vertices = []
+    for vid in sorted(g.vertices):
+        v = g.vertices[vid]
+        value = "" if v.value is None else f',\n      "value": {q(v.value)}'
+        vertices.append(f'    {{\n      "id": {q(v.id)},\n      "type": "{v.vtype.value}",'
+                        f'\n      "name": {q(v.name)}{value}\n    }}')
+    edges = []
+    for e in sorted(g.edges, key=edge_sort_key):
+        tag = "" if e.tag is None else f',\n      "tag": {q(e.tag)}'
+        edges.append(f'    {{\n      "src": {q(e.src)},\n      "dst": {q(e.dst)},'
+                     f'\n      "label": "{e.label.value}"{tag}\n    }}')
+    return (f'{{\n  "id": {q(g.id)},\n  "vertices": {_json_list(vertices)},'
+            f'\n  "edges": {_json_list(edges)}\n}}\n')
 
 
 def structural_hash(g: ProvenanceGraph) -> str:

@@ -33,7 +33,7 @@ from .pathexpr import (
     matching_ids,
     node_test_to_text,
 )
-from .query import eval_directed_path, eval_general_path
+from .query import eval_directed_path, eval_general_path, general_union
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,14 @@ def resolve_path(g: ProvenanceGraph, spec: DirectedPathSpec | GeneralPathSpec) -
 
 
 def resolve_subgraph(g: ProvenanceGraph, spec: SubgraphSpec) -> Partition:
-    """General-path union between the endpoint matches, then a one-step
-    hull: agent and attribute vertices adjacent to the core join the
-    partition (their own neighbors do not).
-
-    A vertex matched by both endpoints joins the core by itself; paths
-    from a vertex back to itself are never enumerated.
-    """
-    start_test = _anchor_test(g, spec.start)
-    end_test = _anchor_test(g, spec.end)
-    paths = eval_general_path(g, start_test, end_test)
-    core = {vid for p in paths for vid in p.vertices}
-    core |= matching_ids(start_test, g) & matching_ids(end_test, g)
+    """General-path union between the endpoint matches, from the block-cut
+    forest (``query.general_union``), then a one-step hull: agent and
+    attribute vertices adjacent to the core join the partition (their own
+    neighbors do not). A vertex matched by both endpoints joins the core
+    by itself."""
+    starts = matching_ids(_anchor_test(g, spec.start), g)
+    ends = matching_ids(_anchor_test(g, spec.end), g)
+    core = general_union(g, starts, ends) | (starts & ends)
     return Partition(agent_attribute_hull(g, core), g)
 
 

@@ -252,6 +252,64 @@ def directed_union(
     return union
 
 
+def general_union(
+    g: ProvenanceGraph, starts: Collection[str], ends: Collection[str]
+) -> set[str]:
+    """The vertices of every mixed-direction path of at least three
+    vertices from a start to an end, in one pass over the graph's block-cut
+    forest (``ProvenanceGraph.block_forest``). Exact on any graph.
+
+    A vertex lies on a simple path from s to t exactly when it lies in a
+    block on the block-cut-tree path between them. Seen from one block,
+    each vertex of the component lies on the side of one block vertex: a
+    member's side is itself and the subtree below it, the head's side is
+    the rest. A path crosses the block when it runs from a start on one
+    side to an end on another, so the two differ, and then it can pass
+    through any vertex of a block of three or more. So such a block joins
+    unless one side holds every start and every end. A bridge, a block of
+    two, joins unless its only crossing pairs are its own two vertices: a
+    lone edge is too short, and any longer crossing path takes in both."""
+    starts, ends = set(starts), set(ends)
+    union: set[str] = set()
+    if not starts or not ends:
+        return union
+    # per vertex, the starts (ends) at it or in the subtree below it
+    below_s = dict.fromkeys(starts, 1)
+    below_t = dict.fromkeys(ends, 1)
+    for blocks in g.block_forest():
+        counted = []
+        for head, members in blocks:
+            n_s = sum(below_s.get(m, 0) for m in members)
+            n_t = sum(below_t.get(m, 0) for m in members)
+            counted.append((head, members, n_s, n_t))
+            below_s[head] = below_s.get(head, 0) + n_s
+            below_t[head] = below_t.get(head, 0) + n_t
+        root = blocks[-1][0]
+        all_s, all_t = below_s[root], below_t[root]
+        if not (all_s and all_t):
+            continue
+        for head, members, n_s, n_t in counted:
+            if len(members) == 1:
+                m = members[0]
+                up_s, up_t = all_s - n_s, all_t - n_t
+                crossed = (
+                    up_s and n_t and not (up_s == 1 == n_t and head in starts and m in ends)
+                ) or (
+                    n_s and up_t and not (n_s == 1 == up_t and m in starts and head in ends)
+                )
+            else:
+                crossed = (n_s or n_t) and not (
+                    n_s == all_s and n_t == all_t and any(
+                        below_s.get(m, 0) == all_s and below_t.get(m, 0) == all_t
+                        for m in members
+                    )
+                )
+            if crossed:
+                union.add(head)
+                union.update(members)
+    return union
+
+
 def eval_directed_path(
     g: ProvenanceGraph,
     from_test: NodeTest,

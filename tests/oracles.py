@@ -150,6 +150,29 @@ def connected_over_all_edges(g: ProvenanceGraph, ids: set[str] | frozenset[str])
     return seen == ids
 
 
+# ==== canonical serialization as a plain dict ====
+
+
+def canonical_dict(g: ProvenanceGraph) -> dict:
+    """The document ``save_graph`` writes, as a dict that
+    ``json.dumps(..., indent=2, ensure_ascii=False)`` turns into the same
+    text."""
+    vertices = []
+    for vid in sorted(g.vertices):
+        v = g.vertices[vid]
+        entry = {"id": v.id, "type": v.vtype.value, "name": v.name}
+        if v.value is not None:
+            entry["value"] = v.value
+        vertices.append(entry)
+    edges = []
+    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.label.value, e.tag or "")):
+        entry = {"src": e.src, "dst": e.dst, "label": e.label.value}
+        if e.tag is not None:
+            entry["tag"] = e.tag
+        edges.append(entry)
+    return {"id": g.id, "vertices": vertices, "edges": edges}
+
+
 # ==== path semantics by exhaustive DFS ====
 
 
@@ -164,6 +187,7 @@ def enumerate_general_paths(
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All simple mixed-direction paths of three or more vertices."""
     out: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    steps: dict[str, list[tuple[str, str]]] = {}  # each vertex's, read once
 
     def walk(path: list[str], dirs: list[str]) -> None:
         cur = path[-1]
@@ -171,7 +195,9 @@ def enumerate_general_paths(
             out.append((tuple(path), tuple(dirs)))
         if cur == dst:
             return
-        for nxt, d in sorted(_mixed_steps(g, cur)):
+        if cur not in steps:
+            steps[cur] = sorted(_mixed_steps(g, cur))
+        for nxt, d in steps[cur]:
             if nxt not in path:
                 walk(path + [nxt], dirs + [d])
 
@@ -335,7 +361,8 @@ def oracle_subgraph(g: ProvenanceGraph, start, end) -> set[str]:
     for vid in core:
         for e in g.edges:
             for other, mine in ((e.dst, e.src), (e.src, e.dst)):
-                if mine == vid and g.vertices[other].vtype in (
+                # a dangling edge's missing end is no vertex to add
+                if mine == vid and other in g.vertices and g.vertices[other].vtype in (
                     VertexType.AGENT,
                     VertexType.ATTRIBUTE,
                 ):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from provpolicy.bench import GenConfig, gen_graphs
 from provpolicy.errors import GraphFormatError, UnknownVertexError
 from provpolicy.graph import (
     Edge,
@@ -235,6 +236,22 @@ def test_save_is_canonical(graph_c):
     ids = [v["id"] for v in doc["vertices"]]
     assert ids == sorted(ids)
     assert save_graph(graph_c) == save_graph(load_graph(save_graph(graph_c)))
+
+
+def test_save_graph_writes_the_json_dumps_text(graph_a, graph_b, graph_c):
+    odd = 'q"uo\\te\n\t\x01\x1f\u00e9\u2603\U0001f600 \u2028'
+    awkward = G(
+        "g" + odd,
+        [V("p" + odd, "P", "n" + odd), V("a", "A"), V("att", "Att", "k" + odd, odd),
+         V("att2", "Att", "empty", "")],
+        [E("p" + odd, "a", "used", "t" + odd), E("p" + odd, "att", "ha"),
+         E("a", "att2", "ha", ""), E("ghost", "a", "wdf")],
+    )
+    graphs = [graph_a, graph_b, graph_c, awkward, G("empty", [], [])]
+    graphs += gen_graphs(GenConfig(graphs=20, seed=4))
+    for g in graphs:
+        want = json.dumps(oracles.canonical_dict(g), indent=2, ensure_ascii=False) + "\n"
+        assert save_graph(g) == want, g.id
 
 
 def test_structural_hash_tracks_content(graph_a):

@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from provpolicy.bench import GenConfig, gen_graphs
 from provpolicy.errors import ExprSyntaxError
 from provpolicy.graph import VertexType, edge_sort_key, induced_edges
 from provpolicy.partition import (
@@ -24,10 +28,11 @@ from provpolicy.pathexpr import (
     WildcardTest,
     matching_ids,
 )
+from provpolicy.query import general_union
 from provpolicy.samples import sample_graph_a, sample_graph_b, sample_graph_c
 
 import oracles
-from util import E, G, V, random_node_test
+from util import E, G, V, corrupt_graph, random_node_test
 
 
 # ==== text form ====
@@ -209,6 +214,64 @@ def test_resolve_terminal_subgraph_matches_oracle(small_graphs):
             assert part.vertex_ids == frozenset(
                 oracles.oracle_subgraph(g, *oracle_args)
             )
+
+
+# ==== the block-cut forest against the path oracles ====
+
+FOREST_GRAPHS = gen_graphs(
+    GenConfig(graphs=40, processes=4, artifacts=5, agents=2, attributes=2, seed=11)
+) + gen_graphs(
+    GenConfig(graphs=15, processes=3, artifacts=4, agents=2, attributes=2,
+              edge_density=0.6, seed=13)
+)
+# broken copies: the walker steps on every non-hasAttributes edge between
+# present vertices, whatever their types, so the forest must too
+_broken = random.Random(71)
+FOREST_GRAPHS += [
+    corrupt_graph(_broken, g, mode)
+    for mode in ("cycle", "dangling", "attribute")
+    for g in FOREST_GRAPHS[::6]
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_block_cut_forest_matches_the_path_oracles(data):
+    g = data.draw(st.sampled_from(FOREST_GRAPHS))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    ids = sorted(g.vertices)
+    # subgraph specs, terminals and a shared selector (S & T) included
+    start = data.draw(st.sampled_from([Terminal.START, random_node_test(rng, g)]))
+    end = data.draw(st.sampled_from(
+        [Terminal.END, random_node_test(rng, g)]
+        + ([start] if not isinstance(start, Terminal) else [])
+    ))
+    spec = SubgraphSpec(start, end)
+    assert resolve(g, spec).vertex_ids == frozenset(oracles.oracle_spec_union(g, spec))
+    # the union itself, over small vertex sets, overlapping or not; single
+    # vertices meet the lone-bridge and s != t rules most often
+    for _ in range(6):
+        starts = frozenset(rng.sample(ids, rng.choice((1, 1, 2, 3))))
+        ends = frozenset(rng.sample(ids, rng.choice((1, 1, 2, 3))))
+        paths = oracles.oracle_general(g, IdSetTest(starts), IdSetTest(ends))
+        want = {v for path, _ in paths for v in path}
+        assert general_union(g, starts, ends) == want, (g.id, starts, ends)
+
+
+def test_subgraphs_resolve_in_time_on_path_rich_graphs():
+    # listing every path between these graphs' first and last vertices ran
+    # for seconds or past the path cap; the forest takes milliseconds
+    spec = parse_partition_expr("subgraphs(START // END)")
+    for g in gen_graphs(GenConfig(graphs=3, processes=10, artifacts=12, seed=0)):
+        t0 = time.perf_counter()
+        resolve(g, spec)
+        assert time.perf_counter() - t0 < 1.0, g.id
+    n = 3000
+    chain = G("chain", [V(f"a{i}", "A") for i in range(n)],
+              [E(f"a{i + 1}", f"a{i}", "wdf") for i in range(n - 1)])
+    assert resolve(chain, spec).vertex_ids == frozenset(chain.vertices)
+    assert general_union(chain, {"a0"}, {f"a{n - 1}"}) == set(chain.vertices)
 
 
 # ==== the worked sample ====

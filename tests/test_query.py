@@ -101,8 +101,15 @@ def test_query_rejects_time_axes(graph_a):
 
 
 def test_path_cap_raises(graph_b):
-    with pytest.raises(PathLimitError):
+    with pytest.raises(PathLimitError) as info:
         eval_query(graph_b, "//*//*", max_paths=2)
+    assert info.value.limit == 2
+    # names only the calls that take max_paths; resolve and evaluate do not
+    assert str(info.value) == (
+        "path enumeration exceeded the cap of 2 results; narrow the expression, "
+        "or pass a larger max_paths to eval_query, eval_directed_path or "
+        "eval_general_path"
+    )
 
 
 def test_no_duplicate_sequences(graph_b):

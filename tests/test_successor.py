@@ -58,6 +58,7 @@ def assert_same_as_fresh(g: ProvenanceGraph) -> None:
     assert VCD.category_map(g) == VCD.category_map(fresh)
     assert g.start_vertices() == fresh.start_vertices()
     assert g.end_vertices() == fresh.end_vertices()
+    assert g.block_forest() == fresh.block_forest()
     assert validate_graph(g, allow_was_caused_by=True) == []
 
 

@@ -89,12 +89,26 @@ def _maybe_pred(rng: random.Random, g: ProvenanceGraph):
     return AttrPred(att.name, att.value or "")
 
 
-def corrupt_graph(rng: random.Random, g: ProvenanceGraph) -> ProvenanceGraph:
+def corrupt_graph(
+    rng: random.Random, g: ProvenanceGraph, mode: str | None = None
+) -> ProvenanceGraph:
     """A structurally broken variant: illegal triple, dangling endpoint,
-    cycle, or a value on a non-attribute vertex."""
+    cycle, or a value on a non-attribute vertex, drawn at random unless
+    ``mode`` names one; ``mode="attribute"`` instead joins an attribute
+    vertex to two other vertices by non-hasAttributes edges."""
     vertices = list(g.vertices.values())
     edges = list(g.edges)
-    mode = rng.choice(("illegal", "dangling", "cycle", "value"))
+    if mode is None:
+        mode = rng.choice(("illegal", "dangling", "cycle", "value"))
+    if mode == "attribute":
+        atts = [v.id for v in vertices if v.vtype is VertexType.ATTRIBUTE]
+        others = [v.id for v in vertices if v.vtype is not VertexType.ATTRIBUTE]
+        if atts and len(others) >= 2:
+            att = rng.choice(atts)
+            a, b = rng.sample(others, 2)
+            edges += [Edge(a, att, EdgeLabel.USED), Edge(att, b, EdgeLabel.WAS_DERIVED_FROM)]
+        else:
+            mode = "dangling"
     if mode == "illegal":
         agents = [v.id for v in vertices if v.vtype is VertexType.AGENT]
         artifacts = [v.id for v in vertices if v.vtype is VertexType.ARTIFACT]
