@@ -159,8 +159,9 @@ class ProvenanceGraph:
         self._edges: dict[Edge, None] = dict.fromkeys(edges)
         # lookups built on first use: by name or id, by type, by (type,
         # attribute value), per dictionary a vertex -> category map and
-        # each category's components, each vertex's neighbours over every
-        # edge, and the block-cut forest of the non-attribute edges
+        # the components of its category sets, each vertex's neighbours
+        # over every edge, and the block-cut forest of the non-attribute
+        # edges
         self._names: dict[str, frozenset[str]] | None = None
         self._types: dict[VertexType, frozenset[str]] | None = None
         self._values: dict[tuple[VertexType, str], frozenset[str]] | None = None
@@ -171,8 +172,8 @@ class ProvenanceGraph:
         # once a check has found out
         self._valid: bool | None = None
         # for a successor: the graph its chain of steps started from, and
-        # every vertex and edge those steps added
-        self._derived: tuple[ProvenanceGraph, tuple[Vertex, ...], tuple[Edge, ...]] | None = None
+        # whether every vertex and edge those steps added was legal
+        self._derived: tuple[ProvenanceGraph, bool] | None = None
 
         out: dict[str, list[Edge]] = {}
         inc: dict[str, list[Edge]] = {}
@@ -204,21 +205,17 @@ class ProvenanceGraph:
 
         The parent's dicts are copied whole, which hashes no vertex or
         edge again; only the adjacency entries of vertices that lose or
-        gain an edge are re-sorted. The result records its chain's first
-        graph and everything the chain added, in ``_derived``.
+        gain an edge are re-sorted. The result records, in ``_derived``,
+        its chain's first graph and whether everything the chain added was
+        legal: each new vertex without a value, each new edge between
+        present vertices in a legal triple, wasCausedBy allowed.
         """
-        add_vertices, add_edges = tuple(add_vertices), tuple(add_edges)
         g = object.__new__(ProvenanceGraph)
         g.id = self.id
         g.vertices = vs = self.vertices.copy()
         g._edges = es = self._edges.copy()
         g._names = g._types = g._values = g._categories = g._neighbors = g._forest = None
         g._valid = None
-        if self._derived is None:
-            g._derived = (self, add_vertices, add_edges)
-        else:
-            origin, vertices, edges = self._derived
-            g._derived = (origin, vertices + add_vertices, edges + add_edges)
         g._out, g._in = self._out.copy(), self._in.copy()
         g._ha_out, g._ha_in = self._ha_out.copy(), self._ha_in.copy()
         # indexes by position: 0/1 keyed by src/dst, 2/3 the same for
@@ -239,10 +236,12 @@ class ProvenanceGraph:
                     for key in entries(e):
                         if key[1] not in dropped:
                             touched.setdefault(key, [])
+        origin, legal = self._derived or (self, True)
         for v in add_vertices:
             if v.id in vs:
                 raise GraphFormatError(f"duplicate vertex id {v.id!r}")
             vs[v.id] = v
+            legal = legal and v.value is None
         for e in add_edges:
             if e in es:
                 continue
@@ -250,6 +249,12 @@ class ProvenanceGraph:
             if e.src in vs and e.dst in vs:
                 for key in entries(e):
                     touched.setdefault(key, []).append(e)
+                legal = legal and edge_is_legal(
+                    vs[e.src].vtype, vs[e.dst].vtype, e.label, allow_was_caused_by=True
+                )
+            else:
+                legal = False
+        g._derived = (origin, legal)
 
         for (t, vid), added in touched.items():
             kept = [
@@ -261,27 +266,6 @@ class ProvenanceGraph:
             else:
                 tables[t].pop(vid, None)
         return g
-
-    def _derivation(self) -> tuple[ProvenanceGraph, bool]:
-        """The graph this one's chain of steps started from (itself when
-        built directly), and whether everything the chain added that this
-        graph still holds is legal: each edge joins present vertices in a
-        legal triple, wasCausedBy allowed, and no new vertex has a value."""
-        if self._derived is None:
-            return self, True
-        origin, vertices, edges = self._derived
-        vs = self.vertices
-        if any(v.value is not None for v in vertices if vs.get(v.id) is v):
-            return origin, False
-        for e in edges:
-            src, dst = vs.get(e.src), vs.get(e.dst)
-            if src is None or dst is None:
-                # gone with a later step's vertices, or dangling
-                if e in self._edges:
-                    return origin, False
-            elif not edge_is_legal(src.vtype, dst.vtype, e.label, allow_was_caused_by=True):
-                return origin, False
-        return origin, True
 
     @property
     def edges(self) -> KeysView[Edge]:

@@ -224,7 +224,7 @@ def _parse_separator(p: ExpressionParser) -> tuple[bool, Terminal | None]:
     """Consume selector separators; returns (saw a gap, following/preceding)."""
     saw = False
     while True:
-        if p.try_literal("//") or p.try_literal(",") or p.try_literal("\\v+") or p.try_literal("\v+"):
+        if p.try_literal("//") or p.try_literal(",") or p.try_literal("\\v+"):
             saw = True
             continue
         if p.try_literal("/"):

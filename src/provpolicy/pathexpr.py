@@ -339,9 +339,7 @@ class ExpressionParser:
     # -- steps --
 
     def parse_axis(self) -> Axis:
-        if self.try_literal("//"):
-            return Axis.DESCENDANT
-        if self.try_literal("\\v+") or self.try_literal("\v+"):
+        if self.try_literal("//") or self.try_literal("\\v+"):
             return Axis.DESCENDANT
         if self.try_literal("/"):
             if self.try_literal("following::*"):

@@ -405,7 +405,7 @@ class CategoryDictionary:
 
     def _cache_entry(
         self, g: ProvenanceGraph
-    ) -> tuple[dict[str, Category], dict[str, Any]]:
+    ) -> tuple[dict[str, Category], dict[frozenset[str], Any]]:
         """This dictionary's entry on ``g``: its ``category_map`` and a
         dict, empty at first, in which scope expansion keeps what it
         derives from that map. The entry lives as long as the graph, and

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import TransformError
 from .graph import (
@@ -68,9 +69,11 @@ def expand_scope(
 
     Original keeps the partition as one cluster. Conjunction grows one
     cluster by transitively absorbing neighbors that share a category
-    with a base member. Extension collects every connected component of
-    each base category's member set anywhere in the graph. Under the
-    latter two, base vertices in no category become singleton clusters.
+    with a base member: the union of the components, over the base's
+    categories together, that hold a base vertex. Extension collects
+    every connected component of each base category's member set
+    anywhere in the graph. Under the latter two, base vertices in no
+    category become singleton clusters.
     """
     ids = base.vertex_ids
     if not ids:
@@ -82,14 +85,8 @@ def expand_scope(
         return [Cluster(ids)]
 
     cats, cache = vcd._cache_entry(g)
-    by_category: dict[str, set[str]] = {}
-    singletons: list[str] = []
-    for vid in sorted(ids):
-        cat = cats.get(vid)
-        if cat is None:
-            singletons.append(vid)
-        else:
-            by_category.setdefault(cat.name, set()).add(vid)
+    names = frozenset(cats[vid].name for vid in ids if vid in cats)
+    singletons = sorted(vid for vid in ids if vid not in cats)
     if singletons:
         log.warning(
             "scope %s: %d base vertex(es) in no category kept as singletons: %s",
@@ -100,41 +97,40 @@ def expand_scope(
 
     clusters: list[Cluster] = []
     if scope is Scope.CONJUNCTION:
-        if by_category:
-            grown = set().union(*by_category.values())
-            frontier = list(grown)
-            while frontier:
-                nxt: set[str] = set()
-                for vid in frontier:
-                    for n in g.all_neighbors(vid):
-                        if n in grown:
-                            continue
-                        cat = cats.get(n)
-                        if cat is not None and cat.name in by_category:
-                            grown.add(n)
-                            nxt.add(n)
-                frontier = list(nxt)
-            only = next(iter(by_category)) if len(by_category) == 1 else None
-            clusters.append(Cluster(frozenset(grown), only))
+        if names:
+            comps, index = _category_components(g, cats, cache, names)
+            hit = {index[vid] for vid in ids if vid in index}
+            grown = frozenset().union(*(comps[i].vertex_ids for i in hit))
+            # every component is named when the base spans one category
+            clusters.append(Cluster(grown, comps[0].category))
     else:  # Scope.EXTENSION
-        # a category's components depend only on the graph and the
-        # dictionary, so each is built once and kept in the dictionary's
-        # entry on the graph
-        missing: dict[str, set[str]] = {
-            name: set() for name in by_category if name not in cache
-        }
-        if missing:
-            for vid, cat in cats.items():
-                if cat.name in missing:
-                    missing[cat.name].add(vid)
-            for name, members in missing.items():
-                cache[name] = [Cluster(frozenset(comp), name)
-                               for comp in _components(g, members)]
         for cat in vcd.categories:
-            if cat.name in by_category:
-                clusters.extend(cache[cat.name])
+            if cat.name in names:
+                clusters.extend(_category_components(g, cats, cache, frozenset((cat.name,)))[0])
     clusters.extend(Cluster(frozenset((vid,))) for vid in singletons)
     return clusters
+
+
+def _category_components(
+    g: ProvenanceGraph,
+    cats: dict[str, Category],
+    cache: dict[frozenset[str], Any],
+    names: frozenset[str],
+) -> tuple[list[Cluster], dict[str, int]]:
+    """The connected components of the vertices whose category in
+    ``cats`` is in ``names``, as clusters named when ``names`` is one
+    category, and each member's index in that list. They depend only on
+    the graph and the dictionary, so each set's are built once and kept
+    in ``cache``, the dictionary's entry on the graph (``_cache_entry``);
+    callers must not change them."""
+    table = cache.get(names)
+    if table is None:
+        only = next(iter(names)) if len(names) == 1 else None
+        members = {vid for vid, cat in cats.items() if cat.name in names}
+        comps = [Cluster(frozenset(comp), only) for comp in _components(g, members)]
+        index = {vid: i for i, c in enumerate(comps) for vid in c.vertex_ids}
+        table = cache[names] = (comps, index)
+    return table
 
 
 def _components(g: ProvenanceGraph, ids: set[str]) -> list[set[str]]:
@@ -284,13 +280,15 @@ def check_view(g: ProvenanceGraph, op: str) -> None:
     allow_was_caused_by=True)``.
 
     A graph derived by steps from a graph known valid is checked only for
-    what the steps added and it still holds: edges in legal triples, new
-    vertices without a value. The step contract covers the rest. Any
-    other graph, or a failed delta check, is validated in full. Whether a
-    graph is valid is cached on it, so a chain's first graph is validated
-    once however many chains start from it.
+    what the steps added, as ``_successor`` recorded it: edges between
+    present vertices in legal triples, new vertices without a value. The
+    step contract covers the rest. Any other graph, or one whose chain
+    ever added something illegal, even if a later step removed it, is
+    validated in full. Whether a graph is valid is cached on it, so a
+    chain's first graph is validated once however many chains start
+    from it.
     """
-    origin, additions_legal = g._derivation()
+    origin, additions_legal = g._derived or (g, True)
     if not (additions_legal and _known_valid(origin)):
         violations = validate_graph(g, allow_was_caused_by=True)
         if violations:

@@ -65,6 +65,11 @@ def test_parse_directed_with_vias():
 def test_parse_general_gap_token():
     spec = parse_partition_expr(r"general(au1 \v+ o1v2)")
     assert spec == GeneralPathSpec(NameTest(("au1",)), NameTest(("o1v2",)))
+    # the gap token is backslash, v, plus; a vertical tab is only
+    # whitespace, so "+" is left where ")" belongs
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_partition_expr("general(a \x0b+ b)")
+    assert err.value.offset == 11
 
 
 def test_parse_comma_separator():

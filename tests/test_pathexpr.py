@@ -110,6 +110,10 @@ def test_descendant_axis_pairs():
 
 def test_gap_token_is_descendant():
     assert parse_path_expr(r"//au1\v+o1v2") == parse_path_expr("//au1//o1v2")
+    # a vertical tab is only whitespace, so "+" is left where an axis belongs
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_path_expr("//a\x0b+b")
+    assert err.value.offset == 4
 
 
 def test_predicate():

@@ -48,13 +48,18 @@ def assert_same_as_fresh(g: ProvenanceGraph) -> None:
         assert g.ids_of_type(t) == fresh.ids_of_type(t)
         for value in VALUES:
             assert g.ids_with_value(t, value) == fresh.ids_with_value(t, value)
-    # the components extension scope keeps per graph are the fresh graph's
+    # the components scope expansion keeps per graph are the fresh graph's
+    firsts = []
     for cat in VCD.categories:
         members = sorted(vid for vid, c in VCD.category_map(fresh).items() if c is cat)
         if members:
+            firsts.append(members[0])
             base = frozenset(members[:1])
             assert (expand_scope(g, Partition(base, g), Scope.EXTENSION, VCD)
                     == expand_scope(fresh, Partition(base, fresh), Scope.EXTENSION, VCD))
+    base = frozenset(firsts[-2:])  # two categories when both have members
+    assert (expand_scope(g, Partition(base, g), Scope.CONJUNCTION, VCD)
+            == expand_scope(fresh, Partition(base, fresh), Scope.CONJUNCTION, VCD))
     assert VCD.category_map(g) == VCD.category_map(fresh)
     assert g.start_vertices() == fresh.start_vertices()
     assert g.end_vertices() == fresh.end_vertices()

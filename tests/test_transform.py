@@ -173,6 +173,54 @@ def test_scope_extension_random_dictionaries(small_graphs):
                 clusters[0] = Cluster(frozenset({ids[-1]}))
 
 
+def naive_conjunction_scope(g, base, cd):
+    """Conjunction scope from the first-match category scan and the
+    fixpoint growth, in the order ``expand_scope`` gives."""
+
+    def name(vid):
+        return getattr(cd.category_of(g, vid), "name", None)
+
+    names = {name(vid) for vid in base} - {None}
+    clusters = []
+    if names:
+        grown = oracles.naive_conjunction(g, {vid for vid in base if name(vid)}, names, name)
+        only = next(iter(names)) if len(names) == 1 else None
+        clusters.append(Cluster(frozenset(grown), only))
+    return clusters + [Cluster(frozenset({vid})) for vid in sorted(base) if name(vid) is None]
+
+
+def test_scope_conjunction_random_dictionaries(small_graphs):
+    rng = random.Random(71)
+    expected_of = {Scope.CONJUNCTION: naive_conjunction_scope,
+                   Scope.EXTENSION: naive_extension}
+    spanning = 0
+    for g in small_graphs[:24]:
+        ids = sorted(g.vertices)
+        questions = []
+        for _ in range(2):
+            tests = [[node_test_to_text(random_node_test(rng, g))
+                      for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(2, 3))]
+            cd = parse_vcd({"categories": [
+                {"name": f"C{i}", "label": f"c{i}", "members": members}
+                for i, members in enumerate(tests)
+            ]})
+            # conjunction over one category shares extension's components
+            for scope in (Scope.CONJUNCTION, Scope.CONJUNCTION, Scope.EXTENSION):
+                questions.append((cd, set(rng.sample(ids, rng.randint(2, 5))), scope))
+        rng.shuffle(questions)
+        # the second round is answered from the components kept on g
+        for _ in range(2):
+            for cd, base, scope in questions:
+                clusters = expand_scope(g, part_of(g, *base), scope, cd)
+                assert clusters == expected_of[scope](g, base, cd), (g.id, sorted(base))
+                cats = cd.category_map(g)
+                spanning += len({cats[vid].name for vid in base if vid in cats}) > 1
+                # callers may change the list; that must not reach the cache
+                clusters.append(Cluster(frozenset({ids[0]})))
+                clusters[0] = Cluster(frozenset({ids[-1]}))
+    assert spanning > 20  # bases over two or more categories are exercised
+
+
 def test_scope_uncategorized_become_singletons(graph_c, vcd, caplog):
     base = resolve(graph_c, VerticesSpec(NameTest(("upload1", "submit1"))))
     with caplog.at_level(logging.WARNING):
