@@ -6,14 +6,16 @@ edge schema, ``query`` evaluates a path expression or partition expression,
 transformed view, and ``bench`` drives the generators and timing harness.
 
 Exit codes: 0 success, 1 bad input (syntax, schema, unknown names) or
-any other failure, 2 file system problems, 3 request denied outright.
-No failure ends in a traceback: each prints one ``error:`` line.
+any other failure, 2 file system problems or a closed standard output,
+3 request denied outright. No failure ends in a traceback: each prints
+one ``error:`` line, except a closed standard output, which prints none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -305,7 +307,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and let the flush at exit succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except OSError as e:
         return _fail(args, f"file error: {e}", EXIT_IO)
     except ProvPolicyError as e:

@@ -578,7 +578,7 @@ def validate_graph(
 
 def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]:
     """One violation per strongly connected component among non-ha edges."""
-    adj: dict[str, list[str]] = {}
+    adj: dict[str, list[str]] = {vid: [] for vid in g.vertices}
     self_loops = []
     for e in placed:
         if e.label is EdgeLabel.HAS_ATTRIBUTES:
@@ -586,8 +586,8 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
         if e.src == e.dst:
             self_loops.append(e)
             continue
-        adj.setdefault(e.src, []).append(e.dst)
-    if not self_loops and _acyclic(adj):
+        adj[e.src].append(e.dst)
+    if not self_loops and len(kahn_order(adj)) == len(adj):
         return []
     for neighbors in adj.values():
         neighbors.sort()
@@ -617,7 +617,7 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
                 counter += 1
                 stack.append(node)
                 on_stack.add(node)
-            neighbors = adj.get(node, ())
+            neighbors = adj[node]
             if ei < len(neighbors):
                 work[-1] = (node, ei + 1)
                 nxt = neighbors[ei]
@@ -648,20 +648,21 @@ def _cycle_violations(g: ProvenanceGraph, placed: list[Edge]) -> list[Violation]
     return out
 
 
-def _acyclic(adj: dict[str, list[str]]) -> bool:
-    """Kahn's test: the graph is acyclic exactly when repeatedly taking
-    vertices without remaining in-edges takes them all."""
-    indeg: dict[str, int] = {}
+def kahn_order(adj: dict[str, list[str]]) -> list[str]:
+    """Kahn's topological order of the vertices keyed in ``adj``, each
+    mapped to its successors, which must be keys too. Vertices on a cycle,
+    or after one, are left out."""
+    indeg = dict.fromkeys(adj, 0)
     for targets in adj.values():
         for w in targets:
-            indeg[w] = indeg.get(w, 0) + 1
-    ready = [v for v in adj if v not in indeg]
-    for v in ready:  # grows while it is walked
-        for w in adj.get(v, ()):
+            indeg[w] += 1
+    order = [v for v, d in indeg.items() if not d]
+    for v in order:  # grows while it is walked
+        for w in adj[v]:
             indeg[w] -= 1
             if not indeg[w]:
-                ready.append(w)
-    return not any(indeg.values())
+                order.append(w)
+    return order
 
 
 # ==== serialization ====
@@ -720,6 +721,8 @@ def load_graph(data: str | bytes) -> ProvenanceGraph:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise GraphFormatError("invalid JSON: nesting too deep") from exc
 
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")

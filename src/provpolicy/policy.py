@@ -430,6 +430,8 @@ def parse_vcd(doc: str | bytes | Mapping) -> CategoryDictionary:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise PolicyParseError(f"category dictionary JSON: {e}") from e
+        except RecursionError as e:
+            raise PolicyParseError("category dictionary JSON: nesting too deep") from e
     if not isinstance(doc, Mapping):
         raise PolicyParseError("category dictionary must be a JSON object")
     unknown = set(doc) - {"categories"}
@@ -558,6 +560,8 @@ def parse_merge_table(doc: str | bytes | Mapping) -> EdgeMergeTable:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise PolicyParseError(f"merge table JSON: {e}") from e
+        except RecursionError as e:
+            raise PolicyParseError("merge table JSON: nesting too deep") from e
     if not isinstance(doc, Mapping):
         raise PolicyParseError("merge table must be a JSON object")
     unknown = set(doc) - {"rules", "fallback"}

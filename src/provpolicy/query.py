@@ -1,21 +1,24 @@
 """Path evaluation over provenance graphs.
 
-All three evaluators enumerate simple paths (no repeated vertex) over
-non-attribute edges and return canonically sorted, deduplicated matches.
+One walker, ``_walk_paths``, lists simple paths (no repeated vertex) over
+non-attribute edges for all three evaluators. It walks depth first over
+(vertex, state) pairs and returns canonically sorted matches, one per
+vertex sequence.
 
 * ``eval_query`` walks effect steps only (along stored orientation,
-  backward in time), guided by a parsed path expression.
-* ``eval_directed_path`` walks cause steps only and therefore reports
-  paths in chronological order; paths need at least three vertices.
-* ``eval_general_path`` may take either direction at every hop and
-  records which one it took; paths need at least three vertices.
+  backward in time). Its state is the pending step of a parsed path
+  expression, and a path ends where the last step completes.
+* ``eval_directed_path`` walks cause steps only, so its paths are in
+  chronological order; ``eval_general_path`` may take either direction at
+  every hop and records which one it took. Neither has a state: their
+  paths end at a to-match and need at least three vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Collection, Iterator
+from typing import Any, Callable, Collection, Iterable
 
 from .errors import PathLimitError, QueryError
 from .graph import Direction, Edge, ProvenanceGraph
@@ -53,43 +56,76 @@ class PathMatch:
             raise ValueError("hop counts do not line up with the vertex sequence")
 
 
-class _Collector:
-    """Dedup by vertex sequence, enforce the enumeration cap."""
-
-    def __init__(self, max_paths: int) -> None:
-        self.max_paths = max_paths
-        self.seen: dict[tuple[str, ...], PathMatch] = {}
-
-    def add(self, match: PathMatch) -> None:
-        if match.vertices in self.seen:
-            return
-        if len(self.seen) >= self.max_paths:
-            raise PathLimitError(self.max_paths)
-        self.seen[match.vertices] = match
-
-    def sorted(self) -> list[PathMatch]:
-        return [self.seen[key] for key in sorted(self.seen)]
+#: One move of a walk over (vertex, state) pairs: the vertex reached, the
+#: direction taken, the stored edge crossed, the state after the move, and
+#: whether a path may end with it.
+Move = tuple[str, Direction, Edge, Any, bool]
 
 
-#: One hop of a path walk: the vertex reached, the direction taken and
-#: the stored edge crossed.
-Move = tuple[str, Direction, Edge]
-
-
-def _moves(g: ProvenanceGraph, vid: str, *directions: Direction) -> list[Move]:
-    """The hops from ``vid`` in the given directions, one per neighbour,
-    sorted by neighbour. Adjacency is pre-sorted, so the first edge wins
-    when labels differ, and a step in an earlier direction wins over one
-    in a later direction (a cause step, in a general walk)."""
+def _moves(
+    g: ProvenanceGraph, vid: str, ends: Collection[str], *directions: Direction
+) -> list[Move]:
+    """The moves from ``vid`` in the given directions, with no state, one
+    per neighbour, sorted by neighbour; a path may end where a move
+    reaches ``ends``. Adjacency is pre-sorted, so the first edge wins when
+    labels differ, and a step in an earlier direction wins over one in a
+    later direction (a cause step, in a general walk)."""
     found: dict[str, Move] = {}
     for direction in directions:
         if direction is Direction.CAUSE:  # stored edge (u, vid): cause step vid -> u
             for e in g.cause_edges(vid):
-                found.setdefault(e.src, (e.src, direction, e))
+                found.setdefault(e.src, (e.src, direction, e, None, e.src in ends))
         else:
             for e in g.effect_edges(vid):
-                found.setdefault(e.dst, (e.dst, direction, e))
+                found.setdefault(e.dst, (e.dst, direction, e, None, e.dst in ends))
     return [found[k] for k in sorted(found)]
+
+
+def _walk_paths(
+    starts: Iterable[str],
+    state: Any,
+    moves: Callable[[str, Any], Iterable[Move]],
+    max_paths: int,
+    min_vertices: int = 0,
+    accept: Callable[[list[str]], bool] | None = None,
+) -> list[PathMatch]:
+    """Every simple path from a start, entered in ``state``, along
+    ``moves``, sorted and deduplicated by vertex sequence. A path is
+    recorded where its last move may end it, it has at least
+    ``min_vertices`` vertices and ``accept`` passes it; the first distinct
+    path past ``max_paths`` raises PathLimitError. Depth first with an
+    explicit stack, one iterator of moves per vertex on the current path."""
+    seen: dict[tuple[str, ...], PathMatch] = {}
+    for start in starts:
+        path: list[str] = [start]
+        dirs: list[Direction] = []
+        edges: list[Edge] = []
+        used = {start}
+        stack = [iter(moves(start, state))]
+        while stack:
+            move = next(stack[-1], None)
+            if move is None:
+                stack.pop()
+                if stack:
+                    used.discard(path.pop())
+                    dirs.pop()
+                    edges.pop()
+                continue
+            nxt, direction, e, after, may_end = move
+            if nxt in used:
+                continue
+            path.append(nxt)
+            dirs.append(direction)
+            edges.append(e)
+            used.add(nxt)
+            if may_end and len(path) >= min_vertices and (accept is None or accept(path)):
+                key = tuple(path)
+                if key not in seen:
+                    if len(seen) >= max_paths:
+                        raise PathLimitError(max_paths)
+                    seen[key] = PathMatch(key, tuple(dirs), tuple(edges))
+            stack.append(iter(moves(nxt, after)))
+    return [seen[key] for key in sorted(seen)]
 
 
 # ==== expression queries ====
@@ -117,105 +153,39 @@ def eval_query(
                 "subgraphs(...) partition expressions"
             )
 
-    out = _Collector(max_paths)
     steps = expr.steps
+    done = len(steps)
     # the vertices each step matches, predicate included
     hits = [
         frozenset(vid for vid in matching_ids(step.test, g) if pred_matches(step.pred, g, vid))
         for step in steps
     ]
+    if done == 1:
+        if len(hits[0]) > max_paths:
+            raise PathLimitError(max_paths)
+        return [PathMatch((vid,)) for vid in sorted(hits[0])]
 
     @cache
-    def hops(vid: str) -> list[Move]:
-        return _moves(g, vid, Direction.EFFECT)
+    def moves(vid: str, idx: int) -> list[Move]:
+        """The moves from ``vid`` while step ``idx`` is pending: on to
+        ``idx + 1`` where the hop's target matches step ``idx``, and on in
+        ``idx`` where a descendant axis walks through its gap. A completed
+        expression has none."""
+        out: list[Move] = []
+        if idx == done:
+            return out
+        gap = steps[idx].axis is Axis.DESCENDANT
+        for dst, direction, e, _, hit in _moves(g, vid, hits[idx], Direction.EFFECT):
+            if hit:
+                out.append((dst, direction, e, idx + 1, idx + 1 == done))
+            if gap:
+                out.append((dst, direction, e, idx, False))
+        return out
 
-    def moves(vid: str, idx: int) -> Iterator[tuple[Edge, int]]:
-        """The hops from ``vid`` while step ``idx`` is pending, each with
-        the step pending after it: ``idx + 1`` where the hop's target
-        matches step ``idx``, and ``idx`` again where a descendant axis
-        walks on through its gap."""
-        for dst, _, e in hops(vid):
-            if dst in hits[idx]:
-                yield e, idx + 1
-            if steps[idx].axis is Axis.DESCENDANT:
-                yield e, idx
-
-    # depth first with an explicit stack, one generator of moves per
-    # vertex on the current path but the last; order does not matter, as
-    # the collector sorts
-    for start in sorted(hits[0]):
-        if len(steps) == 1:
-            out.add(PathMatch((start,)))
-            continue
-        path: list[str] = [start]
-        edges: list[Edge] = []
-        used = {start}
-        stack = [moves(start, 1)]
-        while stack:
-            move = next(stack[-1], None)
-            if move is None:
-                stack.pop()
-                if stack:
-                    used.discard(path.pop())
-                    edges.pop()
-                continue
-            e, idx = move
-            if e.dst in used:
-                continue
-            if idx == len(steps):
-                out.add(PathMatch((*path, e.dst), (Direction.EFFECT,) * (len(edges) + 1),
-                                  (*edges, e)))
-                continue
-            path.append(e.dst)
-            edges.append(e)
-            used.add(e.dst)
-            stack.append(moves(e.dst, idx))
-    return out.sorted()
+    return _walk_paths(sorted(hits[0]), 1, moves, max_paths)
 
 
 # ==== directed and general paths ====
-
-
-def _walk_paths(
-    starts: list[str],
-    moves: Callable[[str], list[Move]],
-    ends: frozenset[str],
-    out: _Collector,
-    accept: Callable[[list[str]], bool] | None = None,
-) -> None:
-    """Record every simple path from a start, of at least three vertices,
-    that ends in ``ends`` and passes ``accept``. Depth first with an
-    explicit stack, one iterator over ``moves(vid)`` per vertex on the
-    current path."""
-    for start in starts:
-        path: list[str] = [start]
-        dirs: list[Direction] = []
-        edges: list[Edge] = []
-        used = {start}
-        stack = [iter(moves(start))]
-        while stack:
-            move = next(stack[-1], None)
-            if move is None:
-                stack.pop()
-                if stack:
-                    used.discard(path.pop())
-                    dirs.pop()
-                    edges.pop()
-                continue
-            nxt, direction, e = move
-            if nxt in used:
-                continue
-            path.append(nxt)
-            dirs.append(direction)
-            edges.append(e)
-            used.add(nxt)
-            if (
-                len(path) >= MIN_PATH_VERTICES
-                and nxt in ends
-                and (accept is None or accept(path))
-            ):
-                out.add(PathMatch(tuple(path), tuple(dirs), tuple(edges)))
-            stack.append(iter(moves(nxt)))
 
 
 def directed_union(
@@ -324,13 +294,12 @@ def eval_directed_path(
 
     The walk enters only ``directed_union`` of the endpoints, which holds
     every vertex of every matching path."""
-    out = _Collector(max_paths)
     starts = matching_ids(from_test, g)
     ends = matching_ids(to_test, g)
     via_hits = [matching_ids(test, g) for test in via]
     live = directed_union(g, starts, ends)
-    moves = {
-        vid: [m for m in _moves(g, vid, Direction.CAUSE) if m[0] in live] for vid in live
+    table = {
+        vid: [m for m in _moves(g, vid, ends, Direction.CAUSE) if m[0] in live] for vid in live
     }
 
     def vias_satisfied(path: list[str]) -> bool:
@@ -343,9 +312,8 @@ def eval_directed_path(
             pos += 1
         return True
 
-    _walk_paths(sorted(starts & live), moves.__getitem__, ends, out,
-                vias_satisfied if via_hits else None)
-    return out.sorted()
+    return _walk_paths(sorted(starts & live), None, lambda vid, _: table[vid], max_paths,
+                       MIN_PATH_VERTICES, vias_satisfied if via_hits else None)
 
 
 def eval_general_path(
@@ -358,11 +326,11 @@ def eval_general_path(
     """Paths from a from-match to a to-match where every hop may be either
     a cause or an effect step; the direction taken is recorded per hop.
     Matches shorter than three vertices are discarded."""
-    out = _Collector(max_paths)
+    ends = matching_ids(to_test, g)
 
     @cache
-    def moves(vid: str) -> list[Move]:
-        return _moves(g, vid, Direction.CAUSE, Direction.EFFECT)
+    def moves(vid: str, _: None) -> list[Move]:
+        return _moves(g, vid, ends, Direction.CAUSE, Direction.EFFECT)
 
-    _walk_paths(sorted(matching_ids(from_test, g)), moves, matching_ids(to_test, g), out)
-    return out.sorted()
+    return _walk_paths(sorted(matching_ids(from_test, g)), None, moves, max_paths,
+                       MIN_PATH_VERTICES)

@@ -29,6 +29,7 @@ from .graph import (
     Vertex,
     VertexType,
     edge_is_legal,
+    kahn_order,
     validate_graph,
 )
 from .partition import Partition
@@ -192,7 +193,7 @@ def apply_remove(
         in_edges.extend(e for e in g.cause_edges(vid) if e.src not in internal)
         for e in g.effect_edges(vid):
             (succ[vid] if e.dst in internal else out_edges).append(e)
-    topo = _topo_order(succ)
+    topo = kahn_order({vid: [e.dst for e in edges] for vid, edges in succ.items()})
 
     # Per external pair, every bridge label obtainable by folding the
     # merge table left to right along some internal route; under the
@@ -244,22 +245,6 @@ def apply_remove(
         "removed_attributes": sorted(orphans),
     }
     return TransformResult(out, (record,))
-
-
-def _topo_order(succ: dict[str, list[Edge]]) -> list[str]:
-    """Kahn's order of the cluster over its internal edges; members on a
-    cycle are left out."""
-    indeg = dict.fromkeys(succ, 0)
-    for edges in succ.values():
-        for e in edges:
-            indeg[e.dst] += 1
-    order = [vid for vid, d in indeg.items() if d == 0]
-    for vid in order:  # grows while it is walked
-        for e in succ[vid]:
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                order.append(e.dst)
-    return order
 
 
 def _orphaned_attributes(g: ProvenanceGraph, removed: set[str]) -> set[str]:

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from provpolicy.cli import main
 from provpolicy.graph import load_graph, validate_graph
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
@@ -220,6 +224,24 @@ def test_malformed_graph_is_input_error(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "validate", "--graph", str(path))
     assert code == 1
     assert "error" in doc
+
+
+def test_closed_stdout_exits_quietly():
+    # the reading end is closed before the command writes, as when the
+    # reader of ``provpolicy query ... | head -1`` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "provpolicy.cli", "query", "--graph",
+             str(DATA / "sample_c.json"), "//*//*"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
 
 
 def test_argparse_exits_are_remapped(capsys):

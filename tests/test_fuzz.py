@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from provpolicy.errors import ProvPolicyError
+from provpolicy.errors import GraphFormatError, PolicyParseError, ProvPolicyError
 from provpolicy.graph import load_graph
 from provpolicy.partition import parse_partition_expr
 from provpolicy.pathexpr import parse_path_expr
@@ -81,3 +81,18 @@ def test_parsers_raise_only_their_own_error(name, data):
         parse(text)
     except ProvPolicyError:
         pass
+
+
+@pytest.mark.parametrize("name, error", [
+    ("load_graph", GraphFormatError),
+    ("parse_vcd", PolicyParseError),
+    ("parse_merge_table", PolicyParseError),
+])
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"categories": ' * 100_000,
+], ids=["arrays", "objects"])
+def test_deeply_nested_json_raises_the_format_error(name, error, text):
+    # json.loads gives up on such nesting with RecursionError
+    with pytest.raises(error, match="nesting too deep"):
+        PARSERS[name][0](text)

@@ -8,6 +8,7 @@ from provpolicy.graph import Direction, VertexType
 from provpolicy.pathexpr import NameTest, TypedNameTest, parse_path_expr
 from provpolicy.pathexpr import test_matches as vertex_matches  # renamed: pytest collects test_*
 from provpolicy.query import (
+    DEFAULT_MAX_PATHS,
     MIN_PATH_VERTICES,
     directed_union,
     eval_directed_path,
@@ -110,6 +111,27 @@ def test_path_cap_raises(graph_b):
         "or pass a larger max_paths to eval_query, eval_directed_path or "
         "eval_general_path"
     )
+
+
+def test_path_cap_counts_distinct_matches(graph_b):
+    # the cap admits exactly as many paths as there are distinct vertex
+    # sequences; //*//*//* reaches most of its four-vertex and longer
+    # matches by more than one split of its descendant gaps, and those
+    # repeats do not count
+    au1 = NameTest(("au1",))
+    calls = {
+        "query": lambda cap: eval_query(graph_b, "//*//*//*", max_paths=cap),
+        "directed": lambda cap: eval_directed_path(
+            graph_b, au1, NameTest(("submit1",)), max_paths=cap),
+        "general": lambda cap: eval_general_path(
+            graph_b, au1, NameTest(("o1v2",)), max_paths=cap),
+    }
+    for name, call in calls.items():
+        every = call(DEFAULT_MAX_PATHS)
+        assert len(every) > 1, name
+        assert call(len(every)) == every, name
+        with pytest.raises(PathLimitError):
+            call(len(every) - 1)
 
 
 def test_no_duplicate_sequences(graph_b):
@@ -238,6 +260,9 @@ def test_path_engines_match_oracles_on_dead_ends_and_cycles(small_graphs):
             assert {m.vertices for m in got_general} == set(want), g.id
             for m in got_general:
                 assert tuple(d.value for d in m.directions) in want[m.vertices]
+            expr = random_path_expr(rng, g)
+            got_query = {m.vertices for m in eval_query(g, expr)}
+            assert got_query == oracles.oracle_query(g, expr), (g.id, expr)
 
 
 def _matches(test, g):
